@@ -299,6 +299,7 @@ let simulate_cmd =
         Printf.printf "update txs        %d\n" (v s.Med.update_txs);
         Printf.printf "query txs         %d\n" (v s.Med.query_txs);
         Printf.printf "  from store      %d\n" (v s.Med.queries_from_store);
+        Printf.printf "  store probes    %d\n" (v s.Med.store_probes);
         Printf.printf "  key-based       %d\n" (v s.Med.key_based_constructions);
         Printf.printf "polls             %d\n" (v s.Med.polls);
         Printf.printf "tuples polled     %d\n" (v s.Med.polled_tuples);
@@ -404,11 +405,14 @@ let query_cmd =
           | Some ans ->
             let bag = ans.Qp.tuples in
             Format.printf "%a@." Relalg.Bag.pp bag;
-            Printf.printf "(%d tuples; polls %d, key-based %d, from store %d)\n"
+            let stats = Mediator.stats med in
+            Printf.printf
+              "(%d tuples; polls %d, key-based %d, from store %d, store probes %d)\n"
               (Relalg.Bag.cardinal bag)
-              (Obs.Metrics.value (Mediator.stats med).Med.polls)
-              (Obs.Metrics.value (Mediator.stats med).Med.key_based_constructions)
-              (Obs.Metrics.value (Mediator.stats med).Med.queries_from_store);
+              (Obs.Metrics.value stats.Med.polls)
+              (Obs.Metrics.value stats.Med.key_based_constructions)
+              (Obs.Metrics.value stats.Med.queries_from_store)
+              (Obs.Metrics.value stats.Med.store_probes);
             Ok ()
           | None -> Error (`Msg "query did not complete")
         with

@@ -109,6 +109,7 @@ type stats = {
   update_txs : Obs.Metrics.counter;
   query_txs : Obs.Metrics.counter;
   queries_from_store : Obs.Metrics.counter;
+  store_probes : Obs.Metrics.counter;
   polls : Obs.Metrics.counter;
   polled_tuples : Obs.Metrics.counter;
   propagated_atoms : Obs.Metrics.counter;
@@ -182,6 +183,8 @@ let fresh_stats () =
     update_txs = c "update_txs";
     query_txs = c "query_txs";
     queries_from_store = c "queries_from_store";
+    store_probes =
+      c "store_probes" ~help:"store-served reads answered by an index probe";
     polls = c "polls";
     polled_tuples = c "polled_tuples";
     propagated_atoms = c "propagated_atoms";

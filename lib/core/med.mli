@@ -201,6 +201,10 @@ type stats = {
   query_txs : Obs.Metrics.counter;
   queries_from_store : Obs.Metrics.counter;
       (** answered without any polling *)
+  store_probes : Obs.Metrics.counter;
+      (** store-served reads (store rung, multi-query store branch,
+          degraded reads) answered by probing a table index rather than
+          scanning it; see {!Storage.Table.select} *)
   polls : Obs.Metrics.counter;
   polled_tuples : Obs.Metrics.counter;
   propagated_atoms : Obs.Metrics.counter;

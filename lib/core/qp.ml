@@ -164,6 +164,16 @@ let slo_prepoll (t : Med.t) ~slo =
     (true, witnesses)
   end
 
+(* Every store-served read — the store rung, the multi-query store
+   branch and both degraded reads — goes through the table's access
+   path: an index probe when [cond] pins an index, otherwise a scan. *)
+let read_store (t : Med.t) table ~attrs cond =
+  let tuples, access = Table.select table ~attrs cond in
+  (match access with
+  | Table.Probe -> Obs.Metrics.incr t.Med.stats.Med.store_probes
+  | Table.Scan -> ());
+  (tuples, access)
+
 let validate_request (t : Med.t) node attrs cond =
   let n = Graph.node t.Med.vdp node in
   if not n.Graph.export then Med.err "%S is not an export relation" node;
@@ -235,6 +245,12 @@ let query_many (t : Med.t) requests =
           | Med.Desync _ as exn ->
             (empty_result, staleness_of t (Med.dirty_sources t), Some exn)
       in
+      let accesses = ref [] in
+      let from_store table ~attrs cond =
+        let tuples, access = read_store t table ~attrs cond in
+        accesses := Table.access_to_string access :: !accesses;
+        tuples
+      in
       let answers =
         List.map
           (fun (node, attrs, cond) ->
@@ -245,7 +261,7 @@ let query_many (t : Med.t) requests =
               match Med.node_table t node with
               | Some table when Med.is_covered t ~node ~attrs:needed ->
                 Obs.Metrics.incr t.Med.stats.Med.queries_from_store;
-                (node, Bag.project attrs (Bag.select cond (Table.contents table)))
+                (node, from_store table ~attrs cond)
               | Some table -> (
                 (* fresh data unreachable: degrade to the materialized
                    portion — only materialized attributes survive, and
@@ -256,10 +272,8 @@ let query_many (t : Med.t) requests =
                   let avail = List.filter (fun a -> List.mem a mat) attrs in
                   if avail = [] then raise exn;
                   ( node,
-                    Bag.project avail
-                      (Bag.select
-                         (Predicate.restrict_to cond mat)
-                         (Table.contents table)) )
+                    from_store table ~attrs:avail
+                      (Predicate.restrict_to cond mat) )
                 | None ->
                   Med.err "export %S not covered and no temporary built" node)
               | None -> (
@@ -269,6 +283,9 @@ let query_many (t : Med.t) requests =
                   Med.err "export %S neither materialized nor built" node)))
           requests
       in
+      if !accesses <> [] then
+        Obs.Trace.set_attr tx_sp "access"
+          (String.concat "," (List.rev !accesses));
       (* one transaction: every answer shares one reflect vector and
          one commit instant *)
       let reflect = reflect_vector t ~polled:vap_result.Vap.polled_versions in
@@ -459,10 +476,11 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
                 (Engine.now t.Med.engine)
                 (Printexc.to_string exn));
           Obs.Trace.set_attr tx_sp "error" (Printexc.to_string exn);
-          finish ~stale:(staleness_of t srcs) ~served:"degraded"
-            (Bag.project avail
-               (Bag.select (Predicate.restrict_to cond mat) (Table.contents table)))
-            []
+          let tuples, access =
+            read_store t table ~attrs:avail (Predicate.restrict_to cond mat)
+          in
+          Obs.Trace.set_attr tx_sp "access" (Table.access_to_string access);
+          finish ~stale:(staleness_of t srcs) ~served:"degraded" tuples []
         | None -> raise exn
       in
       let with_degrade f =
@@ -481,10 +499,9 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       if Med.is_covered t ~node ~attrs:needed then begin
         let table = Option.get (Med.node_table t node) in
         Obs.Metrics.incr t.Med.stats.Med.queries_from_store;
-        Eval.charge_tuple_ops (Table.support_cardinal table);
-        finish ~stale:(base_stale t) ~served:"store"
-          (Bag.project attrs (Bag.select cond (Table.contents table)))
-          []
+        let tuples, access = read_store t table ~attrs cond in
+        Obs.Trace.set_attr tx_sp "access" (Table.access_to_string access);
+        finish ~stale:(base_stale t) ~served:"store" tuples []
       end
       else
         with_degrade @@ fun () -> begin

@@ -44,35 +44,8 @@ let split_delta ~shards ~key md =
 
 type target = All_shards | Some_shards of int list
 
-(* Which key values can satisfy the condition? [None] = unbounded.
-   Sound over-approximation: a conjunction is at least as restrictive
-   as either side (intersect when both bound the key), a disjunction
-   needs both branches bounded. Anything else gives up. *)
-let rec key_values ~key (p : Predicate.t) =
-  match p with
-  | Predicate.False -> Some []
-  | Predicate.Cmp (Predicate.Eq, Predicate.Attr a, Predicate.Const v)
-  | Predicate.Cmp (Predicate.Eq, Predicate.Const v, Predicate.Attr a)
-    when String.equal a key ->
-    Some [ v ]
-  | Predicate.And (p, q) -> (
-    match (key_values ~key p, key_values ~key q) with
-    | Some vs, Some ws ->
-      Some (List.filter (fun v -> List.exists (Value.equal v) ws) vs)
-    | Some vs, None | None, Some vs -> Some vs
-    | None, None -> None)
-  | Predicate.Or (p, q) -> (
-    match (key_values ~key p, key_values ~key q) with
-    | Some vs, Some ws ->
-      Some (vs @ List.filter (fun w -> not (List.exists (Value.equal w) vs)) ws)
-    | _ -> None)
-  | Predicate.True
-  | Predicate.Cmp _
-  | Predicate.Not _ ->
-    None
-
 let targets ~shards ~key cond =
-  match key_values ~key cond with
+  match Predicate.eq_values ~attr:key cond with
   | None -> All_shards
   | Some vs ->
     Some_shards (List.sort_uniq Int.compare (List.map (owner ~shards) vs))

@@ -40,7 +40,9 @@ type target =
 
 val targets : shards:int -> key:string -> Predicate.t -> target
 (** Conservative routing analysis of a query predicate: equality
-    conjuncts pinning the partition key bound the scatter set;
+    conjuncts pinning the partition key ({!Relalg.Predicate.eq_values},
+    the analysis the stored-table access path also uses) bound the
+    scatter set;
     disjunctions need both branches bounded; anything else scatters to
     every shard. Sound — never excludes a shard whose partition could
     satisfy the predicate. *)

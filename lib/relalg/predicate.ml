@@ -138,6 +138,30 @@ let equi_pairs p =
     (function Cmp (Eq, Attr a, Attr b) -> Some (a, b) | _ -> None)
     (conjuncts p)
 
+(* Which values of [attr] can satisfy [p]? [None] = unbounded. Sound
+   over-approximation: a conjunction is at least as restrictive as
+   either side (intersect when both bound the attribute), a disjunction
+   needs both branches bounded. Anything else gives up. The result
+   holds no two [Value.equal] values. *)
+let rec eq_values ~attr p =
+  match p with
+  | False -> Some []
+  | Cmp (Eq, Attr a, Const v) | Cmp (Eq, Const v, Attr a)
+    when String.equal a attr ->
+    Some [ v ]
+  | And (p, q) -> (
+    match (eq_values ~attr p, eq_values ~attr q) with
+    | Some vs, Some ws ->
+      Some (List.filter (fun v -> List.exists (Value.equal v) ws) vs)
+    | Some vs, None | None, Some vs -> Some vs
+    | None, None -> None)
+  | Or (p, q) -> (
+    match (eq_values ~attr p, eq_values ~attr q) with
+    | Some vs, Some ws ->
+      Some (vs @ List.filter (fun w -> not (List.exists (Value.equal w) vs)) ws)
+    | _ -> None)
+  | True | Cmp _ | Not _ -> None
+
 let rec simplify = function
   | And (a, b) -> (
     match simplify a, simplify b with

@@ -76,6 +76,17 @@ val equi_pairs : t -> (string * string) list
 (** Top-level conjunct equalities of the form [Attr a = Attr b]; used
     to pick hash-join keys. *)
 
+val eq_values : attr:string -> t -> Value.t list option
+(** [eq_values ~attr p] bounds the values of [attr] that can satisfy
+    [p]: [Some vs] means every tuple satisfying [p] has an [attr] value
+    [Value.equal] to one of [vs] (distinct under [Value.equal]);
+    [None] means unbounded. Equality conjuncts [attr = c] / [c = attr]
+    pin the attribute, conjunctions intersect, disjunctions need both
+    branches bounded and [False] gives [Some []]; [Not] and every
+    other comparison give up. Shard routing and the stored-table access
+    path both read it, so the two agree on which conditions pin a
+    key. *)
+
 val conjuncts : t -> t list
 (** Flatten top-level [And]s. *)
 

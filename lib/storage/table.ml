@@ -195,45 +195,117 @@ let probe t attrs values f =
     | None -> ()
     | Some cell -> cell_iter f cell)
 
-let probe1 t attr value f =
-  match find_index t [ attr ] with
-  | None -> err "probe1: no index on %s of table %s" attr t.name
-  | Some ix -> (
-    Eval.charge_tuple_ops 1;
-    match ix.entries with
-    | Single { stbl; _ } -> (
-      match VKey_table.find_opt stbl value with
-      | None -> ()
-      | Some cell -> cell_iter f cell)
-    | Multi _ -> assert false)
+(* The value-keyed table of the single-attribute index on [attr]
+   ([make_index] builds [Single] exactly for one-attribute specs). *)
+let single_index t attr =
+  List.find_map
+    (fun ix ->
+      match ix.entries with
+      | Single { stbl; _ } when ix.on = [ attr ] -> Some stbl
+      | Single _ | Multi _ -> None)
+    t.indexes
 
-let lookup t attrs values =
-  if List.length attrs <> List.length values then
-    err "lookup: %d attributes but %d values" (List.length attrs)
-      (List.length values);
+let probe1 t attr value f =
+  match single_index t attr with
+  | None -> err "probe1: no index on %s of table %s" attr t.name
+  | Some stbl -> (
+    Eval.charge_tuple_ops 1;
+    match VKey_table.find_opt stbl value with
+    | None -> ()
+    | Some cell -> cell_iter f cell)
+
+type access = Probe | Scan
+
+let access_to_string = function Probe -> "probe" | Scan -> "scan"
+
+(* Can a hash probe for [v] find every stored value [Value.equal] to
+   it? Not for numbers at or beyond 2^53: [Int (2^53 + 1)] rounds to,
+   and so equals, [Float 2^53] but hashes apart from it (and a NaN
+   equals every NaN whatever its bits). *)
+let probe_exact = function
+  | Value.Int i -> abs i <= 1 lsl 53
+  | Value.Float f -> Float.abs f < 0x1p53
+  | Value.Null | Value.Bool _ | Value.Str _ -> true
+
+(* The values [cond] pins on each attribute of [on], in order; [None]
+   as soon as one attribute is unbounded or pinned to a value a probe
+   cannot find exactly. *)
+let pinned cond on =
+  List.fold_right
+    (fun a acc ->
+      match (acc, Predicate.eq_values ~attr:a cond) with
+      | Some vss, Some vs when List.for_all probe_exact vs -> Some (vs :: vss)
+      | _ -> None)
+    on (Some [])
+
+(* Access-path choice: among the indexes whose every attribute [cond]
+   pins, the schema key first, then the one with the most attributes.
+   [None] (scan) when no index qualifies, or when the probes — one per
+   pinned value tuple — would outnumber the stored tuples. *)
+let choose_probe t cond =
+  let key = Schema.key t.schema in
+  let rank ix = (ix.on = key, List.length ix.on) in
+  let best =
+    List.fold_left
+      (fun best ix ->
+        match best with
+        | Some (bx, _) when compare (rank bx) (rank ix) >= 0 -> best
+        | _ when ix.on = [] -> best
+        | _ -> (
+          match pinned cond ix.on with
+          | Some vss -> Some (ix, vss)
+          | None -> best))
+      None t.indexes
+  in
+  match best with
+  | None -> None
+  | Some (_, vss) as probe ->
+    let limit = Bag.support_cardinal t.bag in
+    let probes =
+      List.fold_left
+        (fun n vs -> if n > limit then n else n * List.length vs)
+        1 vss
+    in
+    if probes <= limit then probe else None
+
+(* every combination of one value per attribute *)
+let rec value_tuples = function
+  | [] -> [ [] ]
+  | vs :: rest ->
+    let tails = value_tuples rest in
+    List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) vs
+
+let select t ~attrs cond =
   List.iter
     (fun a ->
       if not (Schema.mem t.schema a) then
-        err "lookup: unknown attribute %S of table %s" a t.name)
-    attrs;
-  match find_index t attrs with
-  | Some ix -> (
-    Eval.charge_tuple_ops 1;
-    match cell_of_index ix values with
-    | None -> Bag.empty t.schema
-    | Some cell ->
-      let acc = ref (Bag.empty t.schema) in
-      cell_iter (fun tuple m -> acc := Bag.add ~mult:m !acc tuple) cell;
-      !acc)
+        err "select: unknown attribute %S of table %s" a t.name)
+    (attrs @ Predicate.attrs cond);
+  let proj = Tuple.projector attrs in
+  let bu = Bag.builder (Schema.project t.schema attrs) in
+  match choose_probe t cond with
   | None ->
+    (* one pass: filter through the slot-compiled condition and
+       project into the result, no intermediate bag *)
     Eval.charge_tuple_ops (Bag.support_cardinal t.bag);
-    let pred =
-      Predicate.conj
-        (List.map2
-           (fun a v -> Predicate.eq (Predicate.attr a) (Predicate.Const v))
-           attrs values)
+    let keep = Predicate.compile cond in
+    Bag.iter
+      (fun tuple m -> if keep tuple then Bag.badd ~check:false bu (proj tuple) m)
+      t.bag;
+    (Bag.seal bu, Scan)
+  | Some (ix, vss) ->
+    (* the probed cells are a superset of the answer (every tuple
+       satisfying [cond] carries a pinned value tuple); the full
+       condition, applied as a residual, cuts them down to it *)
+    let emit tuple m =
+      if Predicate.eval cond tuple then Bag.badd ~check:false bu (proj tuple) m
     in
-    Bag.select pred t.bag
+    List.iter
+      (fun values ->
+        Eval.charge_tuple_ops 1;
+        Option.iter (cell_iter emit) (cell_of_index ix values))
+      (value_tuples vss);
+    (Bag.seal bu, Probe)
 
 (* [delta_join d t] = the signed join [d ⋈ contents t] computed by
    probing [t]'s persistent join-key index: one probe per delta atom
@@ -245,11 +317,25 @@ let lookup t attrs values =
 let delta_join ?(on = Predicate.True) ?filter d t =
   let dschema = Rel_delta.schema d in
   let left_keys, right_keys = Bag.join_keys dschema t.schema on in
-  if right_keys = [] then None
-  else
-    match find_index t right_keys with
-    | None -> None
-  | Some ix ->
+  let probe_atom =
+    match left_keys, right_keys with
+    | _, [] -> None
+    | [ l ], [ r ] ->
+      Option.map
+        (fun _ ->
+          let key1 = Tuple.keyer1 l in
+          fun ta f -> probe1 t r (key1 ta) f)
+        (single_index t r)
+    | _ ->
+      Option.map
+        (fun _ ->
+          let keyer = Tuple.keyer left_keys in
+          fun ta f -> probe t right_keys (keyer ta) f)
+        (find_index t right_keys)
+  in
+  match probe_atom with
+  | None -> None
+  | Some probe_atom ->
     let out = ref (Rel_delta.empty (Schema.join dschema t.schema)) in
     let keep = match filter with Some f -> f | None -> fun _ -> true in
     let combine ta ma tb mb =
@@ -265,22 +351,9 @@ let delta_join ?(on = Predicate.True) ?filter d t =
              else Rel_delta.delete ~mult:(-m) !out merged)
         end
     in
-    (match ix.entries with
-    | Single _ ->
-      let key1 =
-        match left_keys with [ a ] -> Tuple.keyer1 a | _ -> assert false
-      in
-      let attr = List.hd right_keys in
-      Rel_delta.fold
-        (fun ta ma () ->
-          probe1 t attr (key1 ta) (fun tb mb -> combine ta ma tb mb))
-        d ()
-    | Multi _ ->
-      let keyer = Tuple.keyer left_keys in
-      Rel_delta.fold
-        (fun ta ma () ->
-          probe t right_keys (keyer ta) (fun tb mb -> combine ta ma tb mb))
-        d ());
+    Rel_delta.fold
+      (fun ta ma () -> probe_atom ta (fun tb mb -> combine ta ma tb mb))
+      d ();
     Some !out
 
 type index_stats = { ix_on : string list; ix_distinct : int; ix_max_chain : int }

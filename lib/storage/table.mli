@@ -41,12 +41,6 @@ val support_cardinal : t -> int
 val mem : t -> Tuple.t -> bool
 val mult : t -> Tuple.t -> int
 
-val lookup : t -> string list -> Value.t list -> Bag.t
-(** [lookup t attrs values] returns all tuples with the given values
-    on [attrs], using a hash index when one exists on exactly those
-    attributes (in order), otherwise scanning.
-    @raise Table_error if an attribute is unknown. *)
-
 val has_index_on : t -> string list -> bool
 
 val probe : t -> string list -> Value.t list -> (Tuple.t -> int -> unit) -> unit
@@ -58,6 +52,32 @@ val probe : t -> string list -> Value.t list -> (Tuple.t -> int -> unit) -> unit
 
 val probe1 : t -> string -> Value.t -> (Tuple.t -> int -> unit) -> unit
 (** Single-attribute {!probe} without the key-list allocation. *)
+
+(** {1 Access path}
+
+    Every store-served read goes through {!select}, which picks the
+    access path itself: a probe of an index whose attributes the
+    condition pins to finitely many values, otherwise a scan. *)
+
+type access =
+  | Probe  (** the answer came from index probes plus a residual filter *)
+  | Scan  (** the answer came from a full scan *)
+
+val access_to_string : access -> string
+(** ["probe"] or ["scan"]. *)
+
+val select : t -> attrs:string list -> Predicate.t -> Bag.t * access
+(** [select t ~attrs cond] is
+    [Bag.project attrs (Bag.select cond (contents t))] together with the
+    access path that computed it. When {!Predicate.eq_values} pins
+    every attribute of some index, each pinned value tuple is probed
+    (the schema-key index first, then the index with the most
+    attributes) and [cond] is applied in full to the probed tuples; a
+    probe charges one tuple op, and there are as many probes as pinned
+    value tuples. Otherwise — or when the probes would outnumber the
+    stored tuples — the table is scanned at [support_cardinal] tuple
+    ops.
+    @raise Table_error if [attrs] or [cond] names an unknown attribute. *)
 
 val delta_join :
   ?on:Predicate.t ->

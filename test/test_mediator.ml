@@ -403,6 +403,98 @@ let test_federated_rename_virtual () =
   Tutil.check_bag "virtual union through rename" (recompute env "AllOrders") all;
   ignore (check_consistent env med)
 
+(* --- store access path ------------------------------------------------- *)
+
+let run_in engine f =
+  let cell = ref None in
+  Engine.spawn engine (fun () -> cell := Some (f ()));
+  Engine.run engine ~until:(Engine.now engine +. 10.0);
+  match !cell with
+  | Some v -> v
+  | None -> Alcotest.fail "simulation did not produce a result"
+
+(* Enriched = Items ⋈ Tags over [keys] keys, fully materialized, with
+   the answer cache off so that every query reaches the store *)
+let setup_enriched ~keys =
+  let engine = Engine.create () in
+  let vdp = Fed.Fed_scenario.fed_vdp () in
+  let sources = Fed.Fed_scenario.make_sources ~engine () in
+  let med =
+    Mediator.create ~engine ~vdp
+      ~annotation:(Annotation.fully_materialized vdp)
+      ~config:(Med.Config.make ~answer_cache_enabled:false ~trace_enabled:true ())
+      ~sources ()
+  in
+  Mediator.connect med ();
+  let items, tags = Fed.Fed_scenario.base_bags ~seed:7 ~keys ~groups:16 in
+  let named n = List.find (fun a -> Adapter.name a = n) sources in
+  Adapter.load (named "dbItems") "Items" items;
+  Adapter.load (named "dbTags") "Tags" tags;
+  run_in engine (fun () -> Mediator.initialize med);
+  (med, engine)
+
+(* tuple ops a query transaction adds to ops_query *)
+let query_ops med engine f =
+  let ops () = Obs.Metrics.value (Mediator.stats med).Med.ops_query in
+  let before = ops () in
+  let r = run_in engine f in
+  (r, ops () - before)
+
+let test_store_point_query_probes () =
+  let med, engine = setup_enriched ~keys:10_000 in
+  let all = run_in engine (fun () -> (Mediator.query med ~node:"Enriched" ()).Qp.tuples) in
+  Alcotest.(check int) "10^4 rows" 10_000 (Bag.cardinal all);
+  let probes () = Obs.Metrics.value (Mediator.stats med).Med.store_probes in
+  let probes0 = probes () in
+  let point, ops =
+    query_ops med engine (fun () ->
+        Mediator.query med ~node:"Enriched"
+          ~cond:Predicate.(eq (attr "k") (int 4242))
+          ())
+  in
+  Alcotest.(check int) "one row" 1 (Bag.cardinal point.Qp.tuples);
+  Alcotest.(check bool)
+    (Printf.sprintf "point query: %d <= 2 tuple ops" ops)
+    true (ops <= 2);
+  Alcotest.(check int) "counted as a probe" (probes0 + 1) (probes ());
+  let range, ops =
+    query_ops med engine (fun () ->
+        Mediator.query med ~node:"Enriched"
+          ~cond:Predicate.(lt (attr "k") (int 100))
+          ())
+  in
+  Alcotest.(check int) "range rows" 100 (Bag.cardinal range.Qp.tuples);
+  Alcotest.(check int) "range query: a full scan" (Bag.support_cardinal all) ops;
+  Alcotest.(check int) "a scan is no probe" (probes0 + 1) (probes ());
+  let accesses =
+    List.filter_map
+      (fun sp -> Obs.Trace.attr sp "access")
+      (Obs.Trace.find (Mediator.trace med) ~name:"query_tx")
+  in
+  Alcotest.(check bool)
+    "query_tx spans record the access path" true
+    (List.mem "probe" accesses && List.mem "scan" accesses)
+
+let test_query_many_charges_like_query () =
+  let med, engine = setup_enriched ~keys:2_000 in
+  List.iter
+    (fun (name, cond) ->
+      let single, ops_single =
+        query_ops med engine (fun () -> Mediator.query med ~node:"Enriched" ~cond ())
+      in
+      let many, ops_many =
+        query_ops med engine (fun () ->
+            Mediator.query_many med [ ("Enriched", None, cond) ])
+      in
+      Tutil.check_bag (name ^ ": same answer") single.Qp.tuples
+        (snd (List.hd many));
+      Alcotest.(check int) (name ^ ": same tuple ops") ops_single ops_many;
+      Alcotest.(check bool) (name ^ ": charged") true (ops_many > 0))
+    [
+      ("point", Predicate.(eq (attr "k") (int 17)));
+      ("range", Predicate.(lt (attr "amt") (int 50)));
+    ]
+
 (* --- multi-export query transactions ------------------------------------ *)
 
 let test_query_many_single_transaction () =
@@ -1046,6 +1138,11 @@ let () =
           Alcotest.test_case "ECA: same-batch cross term" `Quick test_eca_compensation_same_batch;
           Alcotest.test_case "ECA ablation breaks consistency" `Quick test_eca_ablation_breaks_consistency;
         ] );
+      ( "store access path",
+        [
+          Alcotest.test_case "point query probes the key index" `Quick
+            test_store_point_query_probes;
+        ] );
       ( "example 2.3 (hybrid view)",
         [
           Alcotest.test_case "materialized attrs from store" `Quick test_ex23_materialized_query_from_store;
@@ -1068,6 +1165,7 @@ let () =
       ( "multi-export transactions",
         [
           Alcotest.test_case "single transaction" `Quick test_query_many_single_transaction;
+          Alcotest.test_case "charges like query" `Quick test_query_many_charges_like_query;
           Alcotest.test_case "under churn" `Quick test_query_many_under_churn;
         ] );
       ( "multi-relation sources",

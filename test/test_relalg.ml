@@ -161,6 +161,31 @@ let test_predicate_simplify () =
     "not not stays" true
     Predicate.(equal (simplify (Not True)) False)
 
+let test_predicate_eq_values () =
+  let values =
+    Alcotest.(option (list (testable Value.pp Value.equal)))
+  in
+  let k = Predicate.attr "k" in
+  let check name expect p =
+    Alcotest.check values name expect (Predicate.eq_values ~attr:"k" p)
+  in
+  let open Predicate in
+  check "attr = const" (Some [ v_int 1 ]) (eq k (int 1));
+  check "const = attr" (Some [ v_int 1 ]) (eq (int 1) k);
+  check "other attribute" None (eq (attr "j") (int 1));
+  check "k = 1 or k = 2" (Some [ v_int 1; v_int 2 ]) (disj [ eq k (int 1); eq k (int 2) ]);
+  check "duplicates across Int/Float collapse" (Some [ v_int 1 ])
+    (disj [ eq k (int 1); eq k (flt 1.0) ]);
+  check "one unbounded branch" None (disj [ eq k (int 1); eq (attr "j") (int 2) ]);
+  check "contradiction k = 1 and k = 2" (Some [])
+    (conj [ eq k (int 1); eq k (int 2) ]);
+  check "conjunct with another attribute" (Some [ v_int 3 ])
+    (conj [ lt (attr "j") (int 9); eq k (int 3) ]);
+  check "False" (Some []) False;
+  check "True" None True;
+  check "range" None (lt k (int 3));
+  check "Not gives up" None (Not (ne k (int 3)))
+
 (* --- Bag --- *)
 
 let test_bag_multiplicity () =
@@ -500,6 +525,7 @@ let () =
           Alcotest.test_case "attrs" `Quick test_predicate_attrs;
           Alcotest.test_case "restrict_to" `Quick test_predicate_restrict;
           Alcotest.test_case "simplify" `Quick test_predicate_simplify;
+          Alcotest.test_case "eq_values" `Quick test_predicate_eq_values;
         ] );
       ( "bag",
         [
