@@ -53,7 +53,10 @@ type cell = {
   b_txs : int;  (** constituent announcements applied *)
   b_mean_batch : float;
   b_update_time : float;  (** summed batch_tx durations *)
-  b_throughput : float;  (** txs per unit of update processing time *)
+  b_throughput : float option;
+      (** txs per unit of update processing time; [None] when the cell
+          spent no update time (a churn stream that annihilates entirely
+          applies nothing), where a rate means nothing *)
   b_annihilated : int;
   b_propagated : int;
   b_consistent : bool;
@@ -94,7 +97,7 @@ let measure env med ~cap ~drive =
     b_mean_batch =
       (if batches = 0 then 0.0 else float_of_int txs /. float_of_int batches);
     b_update_time = time;
-    b_throughput = (if time <= 0.0 then 0.0 else float_of_int txs /. time);
+    b_throughput = (if time <= 0.0 then None else Some (float_of_int txs /. time));
     b_annihilated = Obs.Metrics.value s.Med.annihilated_pairs - annihilated0;
     b_propagated = Obs.Metrics.value s.Med.propagated_atoms - propagated0;
     b_consistent = Checker.consistent report;
@@ -160,10 +163,13 @@ let json path ~ann_cells ~churn_cells ~speedup ~churn_wins ~pass =
         p
           "    {\"max_batch\": %d, \"batches\": %d, \"txs\": %d, \
            \"mean_batch\": %.2f, \"update_time\": %.4f, \"throughput\": \
-           %.2f, \"annihilated_pairs\": %d, \"propagated_atoms\": %d, \
+           %s, \"annihilated_pairs\": %d, \"propagated_atoms\": %d, \
            \"consistent\": %b}%s\n"
           c.b_cap c.b_batches c.b_txs c.b_mean_batch c.b_update_time
-          c.b_throughput c.b_annihilated c.b_propagated c.b_consistent
+          (match c.b_throughput with
+          | Some r -> Printf.sprintf "%.2f" r
+          | None -> "null")
+          c.b_annihilated c.b_propagated c.b_consistent
           (if i = n - 1 then "" else ","))
       cells
   in
@@ -194,7 +200,7 @@ let cell_table cells =
         I c.b_txs;
         F c.b_mean_batch;
         F c.b_update_time;
-        F c.b_throughput;
+        (match c.b_throughput with Some r -> F r | None -> S "n/a");
         I c.b_annihilated;
         I c.b_propagated;
         B c.b_consistent;
@@ -216,15 +222,13 @@ let run () =
       "announcement-heavy burst (120 single-tuple commits, poll-bound passes)"
     ~header (cell_table ann_cells);
   let base = find_cap ann_cells 1 in
+  let tput c = Option.value c.b_throughput ~default:0.0 in
   let big =
     List.filter (fun c -> c.b_cap >= 16) ann_cells
-    |> List.fold_left
-         (fun acc c -> if c.b_throughput > acc.b_throughput then c else acc)
-         base
+    |> List.fold_left (fun acc c -> if tput c > tput acc then c else acc) base
   in
   let speedup =
-    if base.b_throughput <= 0.0 then Float.infinity
-    else big.b_throughput /. base.b_throughput
+    if tput base <= 0.0 then Float.infinity else tput big /. tput base
   in
   Tables.note
     "update throughput, best cap >= 16 vs cap 1: %.1fx (gate: >= 2x)\n"

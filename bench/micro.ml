@@ -41,12 +41,19 @@ let tests () =
   in
   List.concat
     [
-      per_size "apply" (fun n ->
-          let b = bag n and d = delta_of (n / 2) n in
-          Staged.stage (fun () -> ignore (Rel_delta.apply b d)));
-      per_size "smash" (fun n ->
-          let d1 = delta_of n n and d2 = delta_of n (2 * n) in
-          Staged.stage (fun () -> ignore (Rel_delta.smash d1 d2)));
+      (* apply and smash update their first argument in place, so
+         these move state forward by the delta and back by its inverse:
+         two operations per run *)
+      per_size "apply+inverse" (fun n ->
+          let cur = ref (bag n) and d = delta_of (n / 2) n in
+          let dinv = Rel_delta.inverse d in
+          Staged.stage (fun () ->
+              cur := Rel_delta.apply (Rel_delta.apply !cur d) dinv));
+      per_size "smash+inverse" (fun n ->
+          let cur = ref (delta_of n n) and d2 = delta_of n (2 * n) in
+          let d2inv = Rel_delta.inverse d2 in
+          Staged.stage (fun () ->
+              cur := Rel_delta.smash (Rel_delta.smash !cur d2) d2inv));
       per_size "inverse" (fun n ->
           let d = delta_of n n in
           Staged.stage (fun () -> ignore (Rel_delta.inverse d)));

@@ -62,7 +62,8 @@ let () =
   let v_letters = [ 0; 0; 1; 0; 1; 0 ] in
   List.iteri
     (fun i v ->
-      let _, _, state = List.nth (Source_db.history src) (min i 5) in
+      let _, version = List.nth (Source_db.history src) (min i 5) in
+      let state = Source_db.state_at_version src version in
       let r = List.hd (Bag.support (List.assoc "R" state)) in
       Printf.printf "t%d     {R(%s,%s)}     {S(%s)}\n" (i + 1)
         (letter (match Tuple.get r "p1" with Value.Int n -> n | _ -> 0))

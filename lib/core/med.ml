@@ -848,9 +848,10 @@ let take_batch t =
 
 let unseen_delta t ~source ~leaf =
   let schema = (Graph.node t.vdp leaf).Graph.schema in
+  (* the queued deltas are smashed into a private copy *)
   let from_pending =
     match Multi_delta.find t.pending leaf with
-    | Some d -> d
+    | Some d -> Rel_delta.copy d
     | None -> Rel_delta.empty schema
   in
   let reflected = (reflected_version t source).r_version in

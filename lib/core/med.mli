@@ -58,7 +58,7 @@ module Config : sig
     release_history : bool;
         (** after each update transaction, advance every source's
             release watermark ({!Sources.Adapter.release}) to the reflected
-            version so snapshot history stays bounded. Incompatible
+            version so the history log stays bounded. Incompatible
             with running a {!Correctness.Checker} afterwards, which
             replays history. *)
     answer_cache_enabled : bool;

@@ -235,7 +235,8 @@ let build_inner (t : Med.t) requests =
                          through_def
                        else Rel_delta.select r.r_cond through_def)
                   in
-                  Rel_delta.apply polled through_req)
+                  (* the answer is the source's: compensate a copy *)
+                  Rel_delta.apply (Bag.copy polled) through_req)
             else polled
           in
           Hashtbl.replace temps r.r_node value)

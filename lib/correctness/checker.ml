@@ -73,13 +73,26 @@ let source_table sources =
 
 let version_at src time =
   List.fold_left
-    (fun acc (t, v, _) -> if t <= time && v > acc then v else acc)
+    (fun acc (t, v) -> if t <= time && v > acc then v else acc)
     0
     (Adapter.history src)
 
+(* [state src version]: a source rebuilds an old state from a copy of
+   its current one, so the last state built per source is kept —
+   consecutive queries mostly reflect the same version *)
+let state_cache () =
+  let last = Hashtbl.create 8 in
+  fun src version ->
+    match Hashtbl.find_opt last (Adapter.name src) with
+    | Some (v, state) when v = version -> state
+    | Some _ | None ->
+      let state = Adapter.state_at_version src version in
+      Hashtbl.replace last (Adapter.name src) (version, state);
+      state
+
 (* environment mapping leaf relations to their state under a version
    assignment *)
-let env_of_assignment ~vdp ~src_tbl assignment leaf =
+let env_of_assignment ~vdp ~src_tbl ~state assignment leaf =
   match Graph.node_opt vdp leaf with
   | Some { Graph.kind = Graph.Leaf { source }; _ } -> (
     match Hashtbl.find_opt src_tbl source with
@@ -90,7 +103,7 @@ let env_of_assignment ~vdp ~src_tbl assignment leaf =
         | Some v -> v
         | None -> Adapter.version src
       in
-      List.assoc_opt leaf (Adapter.state_at_version src version))
+      List.assoc_opt leaf (state src version))
   | Some _ | None -> None
 
 let staleness src version time =
@@ -102,6 +115,7 @@ let staleness src version time =
 
 let check ~vdp ~sources ~events () =
   let src_tbl = source_table sources in
+  let state = state_cache () in
   let violations = ref [] in
   let max_stale : (string, float) Hashtbl.t = Hashtbl.create 8 in
   List.iter (fun s -> Hashtbl.replace max_stale (Adapter.name s) 0.0) sources;
@@ -232,7 +246,7 @@ let check ~vdp ~sources ~events () =
            above still apply to it *)
         if qt_stale <> [] then incr degraded
         else begin
-          let env = env_of_assignment ~vdp ~src_tbl resolved in
+          let env = env_of_assignment ~vdp ~src_tbl ~state resolved in
           let expected =
             Bag.project qt_attrs
               (Bag.select qt_cond
@@ -305,13 +319,14 @@ let rec cartesian = function
       versions
 
 let valid_vectors ~vdp ~src_tbl ~chronology obs =
+  let state = state_cache () in
   let expanded = Graph.expanded_def vdp obs.o_export in
   let candidates =
     Hashtbl.fold
       (fun name src acc ->
         let versions =
           List.filter_map
-            (fun (t, v, _) ->
+            (fun (t, v) ->
               if (not chronology) || t <= obs.o_time +. 1e-9 then Some v
               else None)
             (Adapter.history src)
@@ -321,7 +336,7 @@ let valid_vectors ~vdp ~src_tbl ~chronology obs =
   in
   List.filter
     (fun assignment ->
-      let env = env_of_assignment ~vdp ~src_tbl assignment in
+      let env = env_of_assignment ~vdp ~src_tbl ~state assignment in
       Bag.equal (Eval.eval ~env expanded) obs.o_state)
     (cartesian candidates)
 

@@ -129,6 +129,8 @@ let run ?indexed_join ~env ~deltas p =
       let db = exec b in
       Eval.charge_tuple_ops
         (Rel_delta.support_cardinal da + Rel_delta.support_cardinal db);
+      (* a bare source's delta is the caller's: smash into a copy *)
+      let da = match a with Source _ -> Rel_delta.copy da | _ -> da in
       Rel_delta.smash da db
     | Diff d -> exec_diff d
   (* the n-ary telescoped join rule — Example 6.1 generalized:

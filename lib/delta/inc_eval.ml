@@ -90,6 +90,8 @@ let rec delta_of_expr_interp ?indexed_join ~env ~deltas expr =
     let db = delta_of_expr ~env ~deltas b in
     Eval.charge_tuple_ops
       (Rel_delta.support_cardinal da + Rel_delta.support_cardinal db);
+    (* a bare child's delta is the caller's: smash into a copy *)
+    let da = match a with Expr.Base _ -> Rel_delta.copy da | _ -> da in
     Rel_delta.smash da db
   | Expr.Diff (a, b) ->
     let da = delta_of_expr ~env ~deltas a in
@@ -128,11 +130,6 @@ let rec delta_of_expr_interp ?indexed_join ~env ~deltas expr =
    keyed by the expression) — see {!Delta_plan} *)
 let delta_of_expr ?indexed_join ~env ~deltas expr =
   Delta_plan.delta_of_expr ?indexed_join ~env ~deltas expr
-
-let eval_new ~env ~deltas expr =
-  let old_value = Eval.eval ~env expr in
-  let d = delta_of_expr ~env ~deltas expr in
-  if Rel_delta.is_empty d then old_value else Rel_delta.apply old_value d
 
 let rec affected ~changed = function
   | Expr.Base n -> changed n

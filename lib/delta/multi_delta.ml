@@ -8,9 +8,12 @@ let is_empty t = Smap.for_all (fun _ d -> Rel_delta.is_empty d) t
 
 let singleton name rd = Smap.singleton name rd
 
+(* [rd] is only read: a relation new to [t] gets a copy, so the result
+   never shares a delta it may later smash into with the caller *)
 let add t name rd =
   Smap.update name
-    (function None -> Some rd | Some d -> Some (Rel_delta.smash d rd))
+    (function
+      | None -> Some (Rel_delta.copy rd) | Some d -> Some (Rel_delta.smash d rd))
     t
 
 let find t name = Smap.find_opt name t

@@ -1,18 +1,31 @@
 open Relalg
 
-type t = { schema : Schema.t; muls : Counts.t }
-(* invariant: all stored multiplicities are nonzero *)
+(* The signed map is ephemeral (see {!Relalg.Counts}): updates change
+   it in place and consume the handle, whose recorded stamp then no
+   longer matches the map's. All stored multiplicities are nonzero. *)
+type t = { schema : Schema.t; muls : Counts.t; stamp : int }
 
 exception Delta_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Delta_error s)) fmt
 
-let empty schema = { schema; muls = Counts.empty () }
+(* the map behind a live handle *)
+let muls d =
+  Counts.check d.muls d.stamp;
+  d.muls
+
+let of_counts schema muls = { schema; muls; stamp = Counts.stamp muls }
+let empty schema = of_counts schema (Counts.create ())
 let schema d = d.schema
-let is_empty d = Counts.size d.muls = 0
+let copy d = of_counts d.schema (Counts.copy (muls d))
+let is_empty d = Counts.size (muls d) = 0
 
 let add_signed d tuple mult =
-  if mult = 0 then d else { d with muls = Counts.add_to d.muls tuple mult }
+  if mult = 0 then d
+  else
+    let muls = muls d in
+    Counts.add muls tuple mult;
+    of_counts d.schema muls
 
 let insert ?(mult = 1) d tuple =
   if mult <= 0 then err "insert: multiplicity %d must be positive" mult;
@@ -32,20 +45,19 @@ let of_bags ~ins ~del =
 let of_diff ~old_bag ~new_bag =
   of_bags ~ins:(Bag.monus new_bag old_bag) ~del:(Bag.monus old_bag new_bag)
 
-let insertions d =
-  Counts.fold
-    (fun t m acc -> if m > 0 then Bag.add ~mult:m acc t else acc)
-    d.muls (Bag.empty d.schema)
+(* the atoms of one sign, as a bag *)
+let side sign d =
+  let bu = Bag.builder d.schema in
+  Counts.iter
+    (fun t m -> if m * sign > 0 then Bag.badd ~check:true bu t (abs m))
+    (muls d);
+  Bag.seal bu
 
-let deletions d =
-  Counts.fold
-    (fun t m acc -> if m < 0 then Bag.add ~mult:(-m) acc t else acc)
-    d.muls (Bag.empty d.schema)
-
-let signed_mult d tuple = Counts.get d.muls tuple
-
-let atom_count d = Counts.fold (fun _ m acc -> acc + abs m) d.muls 0
-let support_cardinal d = Counts.size d.muls
+let insertions d = side 1 d
+let deletions d = side (-1) d
+let signed_mult d tuple = Counts.get (muls d) tuple
+let atom_count d = Counts.fold (fun _ m acc -> acc + abs m) (muls d) 0
+let support_cardinal d = Counts.size (muls d)
 
 let apply ?(strict = false) bag d =
   Counts.fold
@@ -61,40 +73,39 @@ let apply ?(strict = false) bag d =
             (Tuple.to_string tuple) (Bag.mult bag tuple) (-m);
         Bag.remove ~mult:(-m) bag tuple
       end)
-    d.muls bag
+    (muls d) bag
 
 let smash d1 d2 =
-  Counts.fold (fun t m acc -> add_signed acc t m) d2.muls d1
+  let out = muls d1 in
+  Counts.iter (fun t m -> Counts.add out t m) (muls d2);
+  of_counts d1.schema out
+
+(* a fresh map with each atom rewritten by [f] ([None] drops it);
+   counts of coinciding images accumulate and zero sums drop out *)
+let map_atoms schema f d =
+  let src = muls d in
+  let out = Counts.create ~size:(max 16 (Counts.size src)) () in
+  Counts.iter
+    (fun t m -> match f t with Some t' -> Counts.add out t' m | None -> ())
+    src;
+  of_counts schema out
 
 let inverse d =
-  let out = Counts.Builder.create ~size:(max 16 (Counts.size d.muls)) () in
-  Counts.iter (fun t m -> Counts.Builder.add out t (-m)) d.muls;
-  { d with muls = Counts.Builder.seal out }
+  let src = muls d in
+  let out = Counts.create ~size:(max 16 (Counts.size src)) () in
+  Counts.iter (fun t m -> Counts.add out t (-m)) src;
+  of_counts d.schema out
 
 let filter test d =
-  let out = Counts.Builder.create () in
-  Counts.iter (fun t m -> if test t then Counts.Builder.add out t m) d.muls;
-  { d with muls = Counts.Builder.seal out }
+  map_atoms d.schema (fun t -> if test t then Some t else None) d
 
 let select p d = filter (Predicate.eval p) d
 
-let transform schema f d =
-  let out = Counts.Builder.create ~size:(max 16 (Counts.size d.muls)) () in
-  Counts.iter
-    (fun tuple m ->
-      match f tuple with
-      | Some tuple' -> Counts.Builder.add out tuple' m
-      | None -> ())
-    d.muls;
-  { schema; muls = Counts.Builder.seal out }
+let transform = map_atoms
 
 let project names d =
-  let schema = Schema.project d.schema names in
   let proj = Tuple.projector names in
-  let out = Counts.Builder.create ~size:(max 16 (Counts.size d.muls)) () in
-  (* counts of coinciding images accumulate; zero sums drop out *)
-  Counts.iter (fun tuple m -> Counts.Builder.add out (proj tuple) m) d.muls;
-  { schema; muls = Counts.Builder.seal out }
+  map_atoms (Schema.project d.schema names) (fun t -> Some (proj t)) d
 
 let rename mapping d =
   let schema =
@@ -105,11 +116,7 @@ let rename mapping d =
   (* array fast path: the renamer precomputes the slot permutation per
      descriptor, no assoc-list round trip per tuple *)
   let rename_tuple = Tuple.renamer mapping in
-  let out = Counts.Builder.create ~size:(max 16 (Counts.size d.muls)) () in
-  Counts.iter
-    (fun tuple m -> Counts.Builder.add out (rename_tuple tuple) m)
-    d.muls;
-  { schema; muls = Counts.Builder.seal out }
+  map_atoms schema (fun t -> Some (rename_tuple t)) d
 
 let split_join join_fn d =
   let ins = join_fn (insertions d) in
@@ -138,10 +145,10 @@ let join ?on ?test d1 d2 =
   |> add (-1) (Bag.join ?on ?test del1 ins2)
   |> add 1 (Bag.join ?on ?test del1 del2)
 
-let fold f d init = Counts.fold f d.muls init
+let fold f d init = Counts.fold f (muls d) init
 
 let equal a b =
-  Schema.union_compatible a.schema b.schema && Counts.equal a.muls b.muls
+  Schema.union_compatible a.schema b.schema && Counts.equal (muls a) (muls b)
 
 let pp fmt d =
   Format.fprintf fmt "{%a}"
@@ -150,6 +157,6 @@ let pp fmt d =
        (fun fmt (t, m) ->
          Format.fprintf fmt "%s%d*%a" (if m > 0 then "+" else "-") (abs m)
            Tuple.pp t))
-    (Counts.bindings d.muls)
+    (Counts.bindings (muls d))
 
 let to_string d = Format.asprintf "%a" pp d

@@ -13,7 +13,13 @@
     of an already-present set tuple, no deletion below multiplicity
     zero); [apply ~strict:true] checks this. Under non-redundancy,
     smash of bag deltas is pointwise signed addition and satisfies
-    [apply db (smash d1 d2) = apply (apply db d1) d2]. *)
+    [apply db (smash d1 d2) = apply (apply db d1) d2].
+
+    Deltas are ephemeral, like {!Relalg.Bag}s: [insert], [delete] and
+    [smash] update their first argument in place and consume it, and
+    [apply] consumes the bag it is given. Reading a consumed handle
+    raises {!Relalg.Counts.Consumed}. Every other argument is only
+    read; a caller that needs the old version takes a {!copy}. *)
 
 open Relalg
 
@@ -24,6 +30,9 @@ exception Delta_error of string
 val empty : Schema.t -> t
 val schema : t -> Schema.t
 val is_empty : t -> bool
+
+val copy : t -> t
+(** An independent delta with the same atoms. *)
 
 val insert : ?mult:int -> t -> Tuple.t -> t
 (** Add an insertion atom (cancels pending deletions of the tuple). *)
@@ -47,12 +56,13 @@ val atom_count : t -> int
 val support_cardinal : t -> int
 
 val apply : ?strict:bool -> Bag.t -> t -> Bag.t
-(** Apply the delta to a bag. Deletions clamp at zero multiplicity
-    unless [strict] is set, in which case redundancy raises
-    [Delta_error]. *)
+(** Apply the delta to a bag, consuming the bag. Deletions clamp at
+    zero multiplicity unless [strict] is set, in which case redundancy
+    raises [Delta_error]. *)
 
 val smash : t -> t -> t
-(** [smash d1 d2] = d1 ! d2: pointwise signed addition. *)
+(** [smash d1 d2] = d1 ! d2: pointwise signed addition into [d1],
+    consuming it. *)
 
 val inverse : t -> t
 (** Reverses the sign of every atom; [apply (apply db d) (inverse d) =

@@ -44,8 +44,10 @@ let split_delta ~shards ~key md =
 
 type target = All_shards | Some_shards of int list
 
+(* a pinned value that is not hash-exact may equal a key its hash does
+   not route to, so it scatters *)
 let targets ~shards ~key cond =
   match Predicate.eq_values ~attr:key cond with
-  | None -> All_shards
-  | Some vs ->
+  | Some vs when List.for_all Value.hash_exact vs ->
     Some_shards (List.sort_uniq Int.compare (List.map (owner ~shards) vs))
+  | Some _ | None -> All_shards

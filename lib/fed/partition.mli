@@ -43,6 +43,7 @@ val targets : shards:int -> key:string -> Predicate.t -> target
     conjuncts pinning the partition key ({!Relalg.Predicate.eq_values},
     the analysis the stored-table access path also uses) bound the
     scatter set;
-    disjunctions need both branches bounded; anything else scatters to
-    every shard. Sound — never excludes a shard whose partition could
+    disjunctions need both branches bounded; a pinned value that is
+    not {!Relalg.Value.hash_exact} and anything else scatters to every
+    shard. Sound — never excludes a shard whose partition could
     satisfy the predicate. *)

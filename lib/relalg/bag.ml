@@ -1,18 +1,28 @@
-(* Physical layer: a bag is a persistent tuple -> multiplicity hash
-   map ({!Counts}) plus a schema and an incrementally maintained total
+(* Physical layer: a bag is a tuple -> multiplicity hash map
+   ({!Counts}) plus a schema and an incrementally maintained total
    multiplicity, so [add]/[remove]/[mult] and join probes are O(1)
    (amortized) and [cardinal]/[support_cardinal]/[is_set] are O(1).
-   Algebra operators build their result in a private hash table and
-   seal it, never paying the diff-chain machinery. *)
 
-type t = { schema : Schema.t; card : int; tm : Counts.t }
+   The map is ephemeral: [add]/[remove] update it in place and return
+   a new handle; the handle records the map's stamp, so reading a
+   consumed (superseded) handle raises {!Counts.Consumed}. Algebra
+   operators only read their inputs and build fresh results. *)
+
+type t = { schema : Schema.t; card : int; tm : Counts.t; stamp : int }
 
 exception Bag_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Bag_error s)) fmt
 
-let empty schema = { schema; card = 0; tm = Counts.empty () }
+(* the map behind a live handle *)
+let tm b =
+  Counts.check b.tm b.stamp;
+  b.tm
+
+let of_counts schema card tm = { schema; card; tm; stamp = Counts.stamp tm }
+let empty schema = of_counts schema 0 (Counts.create ())
 let schema b = b.schema
+let copy b = of_counts b.schema b.card (Counts.copy (tm b))
 
 let check_tuple schema tuple =
   if not (Tuple.matches_schema tuple schema) then
@@ -22,33 +32,32 @@ let check_tuple schema tuple =
 let add ?(mult = 1) b tuple =
   if mult <= 0 then err "add: multiplicity %d must be positive" mult;
   check_tuple b.schema tuple;
-  { b with card = b.card + mult; tm = Counts.add_to b.tm tuple mult }
+  let tm = tm b in
+  Counts.add tm tuple mult;
+  of_counts b.schema (b.card + mult) tm
 
 let remove ?(mult = 1) b tuple =
   if mult <= 0 then err "remove: multiplicity %d must be positive" mult;
-  let old = Counts.get b.tm tuple in
+  let tm = tm b in
+  let old = Counts.get tm tuple in
   if old = 0 then b
   else
     let removed = min mult old in
-    { b with card = b.card - removed; tm = Counts.add_to b.tm tuple (-removed) }
+    Counts.add tm tuple (-removed);
+    of_counts b.schema (b.card - removed) tm
 
-(* internal builder: accumulate into a private arena, then seal *)
-type builder = {
-  bu_schema : Schema.t;
-  bu_b : Counts.Builder.t;
-  mutable bu_card : int;
-}
+(* builder: a fresh map under construction, sealed into a handle *)
+type builder = { bu_schema : Schema.t; bu_tm : Counts.t; mutable bu_card : int }
 
 let builder ?(size = 16) schema =
-  { bu_schema = schema; bu_b = Counts.Builder.create ~size (); bu_card = 0 }
+  { bu_schema = schema; bu_tm = Counts.create ~size (); bu_card = 0 }
 
 let badd ~check bu tuple mult =
   if check then check_tuple bu.bu_schema tuple;
-  Counts.Builder.add bu.bu_b tuple mult;
+  Counts.add bu.bu_tm tuple mult;
   bu.bu_card <- bu.bu_card + mult
 
-let seal bu =
-  { schema = bu.bu_schema; card = bu.bu_card; tm = Counts.Builder.seal bu.bu_b }
+let seal bu = of_counts bu.bu_schema bu.bu_card bu.bu_tm
 
 let of_tuples schema tuples =
   let bu = builder ~size:(max 16 (List.length tuples)) schema in
@@ -66,14 +75,18 @@ let of_rows schema rows =
   in
   of_tuples schema (List.map to_tuple rows)
 
-let mult b tuple = Counts.get b.tm tuple
+let mult b tuple = Counts.get (tm b) tuple
 let mem b tuple = mult b tuple > 0
-let cardinal b = b.card
-let support_cardinal b = Counts.size b.tm
-let is_empty b = Counts.size b.tm = 0
-let fold f b init = Counts.fold f b.tm init
-let iter f b = Counts.iter f b.tm
-let to_list b = Counts.bindings b.tm
+
+let cardinal b =
+  Counts.check b.tm b.stamp;
+  b.card
+
+let support_cardinal b = Counts.size (tm b)
+let is_empty b = support_cardinal b = 0
+let fold f b init = Counts.fold f (tm b) init
+let iter f b = Counts.iter f (tm b)
+let to_list b = Counts.bindings (tm b)
 let support b = List.map fst (to_list b)
 
 let filter pred b =
@@ -107,42 +120,43 @@ let union a b =
   let big, small =
     if support_cardinal a >= support_cardinal b then (a, b) else (b, a)
   in
-  let bb = Counts.Builder.of_counts big.tm in
-  iter (fun t m -> Counts.Builder.add bb t m) small;
-  { schema = a.schema; card = a.card + b.card; tm = Counts.Builder.seal bb }
+  let out = Counts.copy (tm big) in
+  iter (fun t m -> Counts.add out t m) small;
+  of_counts a.schema (a.card + b.card) out
 
 let monus a b =
   require_compatible "monus" a b;
-  let bb = Counts.Builder.of_counts a.tm in
+  let out = Counts.copy (tm a) in
   let card = ref a.card in
   iter
     (fun t m ->
-      let cur = Counts.Builder.get bb t in
-      let removed = min m cur in
+      let removed = min m (Counts.get out t) in
       if removed > 0 then begin
-        Counts.Builder.add bb t (-removed);
+        Counts.add out t (-removed);
         card := !card - removed
       end)
     b;
-  { schema = a.schema; card = !card; tm = Counts.Builder.seal bb }
+  of_counts a.schema !card out
 
 let to_set b =
   let bu = builder ~size:(max 16 (support_cardinal b)) b.schema in
   iter (fun t _ -> badd ~check:false bu t 1) b;
   seal bu
 
-let is_set b = b.card = Counts.size b.tm
+let is_set b = cardinal b = support_cardinal b
 
 let set_diff a b =
   require_compatible "set_diff" a b;
   let bu = builder a.schema in
-  iter (fun t _ -> if Counts.get b.tm t = 0 then badd ~check:false bu t 1) a;
+  let btm = tm b in
+  iter (fun t _ -> if Counts.get btm t = 0 then badd ~check:false bu t 1) a;
   seal bu
 
 let inter_set a b =
   require_compatible "inter_set" a b;
   let bu = builder a.schema in
-  iter (fun t _ -> if Counts.get b.tm t > 0 then badd ~check:false bu t 1) a;
+  let btm = tm b in
+  iter (fun t _ -> if Counts.get btm t > 0 then badd ~check:false bu t 1) a;
   seal bu
 
 (* Hash tables keyed by join-key values, using Value's own
@@ -203,37 +217,31 @@ let join ?(on = Predicate.True) ?test a b =
   (match left_keys, right_keys with
   | [], _ | _, [] ->
     (* pure theta join: nested loops *)
-    Counts.iter
-      (fun xa ma -> Counts.iter (fun xb mb -> combine xa ma xb mb) b.tm)
-      a.tm
+    iter (fun xa ma -> iter (fun xb mb -> combine xa ma xb mb) b) a
   | [ lk ], [ rk ] ->
     let key_of_b = Tuple.keyer1 rk and key_of_a = Tuple.keyer1 lk in
     (* [add]/[find_all] multi-bindings: inserts never walk the bucket
        (replace-with-cons would walk it twice); presized past the
        resize point *)
-    let index = VKey_table.create (2 * max 16 (Counts.size b.tm)) in
-    Counts.iter
-      (fun xb mb -> VKey_table.add index (key_of_b xb) (xb, mb))
-      b.tm;
-    Counts.iter
+    let index = VKey_table.create (2 * max 16 (support_cardinal b)) in
+    iter (fun xb mb -> VKey_table.add index (key_of_b xb) (xb, mb)) b;
+    iter
       (fun xa ma ->
         List.iter
           (fun (xb, mb) -> combine xa ma xb mb)
           (VKey_table.find_all index (key_of_a xa)))
-      a.tm
+      a
   | _ ->
     let key_of_b = Tuple.keyer right_keys
     and key_of_a = Tuple.keyer left_keys in
-    let index = Key_table.create (2 * max 16 (Counts.size b.tm)) in
-    Counts.iter
-      (fun xb mb -> Key_table.add index (key_of_b xb) (xb, mb))
-      b.tm;
-    Counts.iter
+    let index = Key_table.create (2 * max 16 (support_cardinal b)) in
+    iter (fun xb mb -> Key_table.add index (key_of_b xb) (xb, mb)) b;
+    iter
       (fun xa ma ->
         List.iter
           (fun (xb, mb) -> combine xa ma xb mb)
           (Key_table.find_all index (key_of_a xa)))
-      a.tm);
+      a);
   seal bu
 
 let product a b =
@@ -246,13 +254,13 @@ let product a b =
 
 let equal a b =
   Schema.union_compatible a.schema b.schema
-  && a.card = b.card
-  && Counts.equal a.tm b.tm
+  && cardinal a = cardinal b
+  && Counts.equal (tm a) (tm b)
 
 let equal_as_sets a b =
   Schema.union_compatible a.schema b.schema
-  && Counts.size a.tm = Counts.size b.tm
-  && Counts.fold (fun t _ acc -> acc && Counts.get b.tm t > 0) a.tm true
+  && support_cardinal a = support_cardinal b
+  && fold (fun t _ acc -> acc && mem b t) a true
 
 let pp fmt b =
   Format.fprintf fmt "@[<v>%a:@,%a@]" Schema.pp b.schema

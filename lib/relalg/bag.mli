@@ -9,14 +9,17 @@
     A bag is a schema plus a multiplicity map; all stored
     multiplicities are strictly positive.
 
-    Physically a bag is a tuple -> multiplicity hash table. The
-    persistent API is kept with diff chains: deriving a new version by
-    [add]/[remove] is O(1) and reading a superseded version reroots
-    the table back through the recorded diffs (iterations pin the
-    table, so any access pattern is safe). [cardinal],
-    [support_cardinal], [is_empty] and [is_set] are O(1). [to_list],
-    [support] and [pp] are sorted by {!Tuple.compare}; [fold] and
-    [iter] enumerate in unspecified (hash) order. *)
+    Physically a bag is a mutable tuple -> multiplicity hash table
+    ({!Counts}). [add] and [remove] update it in place and {e consume}
+    the handle they were given: every later read of that handle raises
+    {!Counts.Consumed}, so nothing can quietly see the newer state
+    through an old handle. All other operations only read their
+    arguments and return fresh bags. A bag received from a caller, a
+    message or an adapter is read-only; a receiver that wants to derive
+    from it takes a {!copy} first. [cardinal], [support_cardinal],
+    [is_empty] and [is_set] are O(1). [to_list], [support] and [pp] are
+    sorted by {!Tuple.compare}; [fold] and [iter] enumerate in
+    unspecified (hash) order. *)
 
 type t
 
@@ -31,12 +34,16 @@ val of_tuples : Schema.t -> Tuple.t list -> t
 val of_rows : Schema.t -> Value.t list list -> t
 (** Rows given positionally in schema attribute order. *)
 
+val copy : t -> t
+(** An independent bag with the same contents. *)
+
 val add : ?mult:int -> t -> Tuple.t -> t
-(** [add ~mult b t] inserts [mult] (default 1) copies.
+(** [add ~mult b t] inserts [mult] (default 1) copies, consuming [b].
     @raise Bag_error if [mult <= 0] or the tuple is ill-typed. *)
 
 val remove : ?mult:int -> t -> Tuple.t -> t
-(** Monus removal: removes up to [mult] copies, never below zero. *)
+(** Monus removal: removes up to [mult] copies, never below zero.
+    Consumes [b] unless the tuple was absent. *)
 
 val mult : t -> Tuple.t -> int
 val mem : t -> Tuple.t -> bool
@@ -111,8 +118,8 @@ val filter : (Tuple.t -> bool) -> t -> t
 
 (** {1 Builder}
 
-    Mutable accumulation of a fresh bag, sealed in O(1) — the arena
-    every algebra operator builds its result in. Exposed so the plan
+    Accumulation of a fresh bag, sealed in O(1) — the map every
+    algebra operator builds its result in. Exposed so the plan
     compiler ({!Plan}) can stream fused operator pipelines straight
     into one output bag without materializing intermediates. *)
 

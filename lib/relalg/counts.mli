@@ -1,38 +1,48 @@
-(** Persistent tuple -> count hash maps: the shared physical backing
-    of {!Bag} multiplicities and of delta repositories.
+(** Mutable tuple -> count hash maps: the physical backing of {!Bag}
+    multiplicities and of delta repositories.
 
-    Counts stored are nonzero; [set _ _ 0] removes the binding. The
-    physical layout is a dense insertion-ordered entry arena plus a
-    tuple -> slot hash index, so point operations are O(1) (amortized)
-    and iteration is a sequential scan in insertion order rather than
-    a cache-hostile hash-order walk.
+    Counts stored are nonzero; an update whose sum reaches 0 removes
+    the binding. The layout is a dense insertion-ordered arena plus an
+    open-addressing tuple -> slot index, so point operations are O(1)
+    (amortized) and iteration is a sequential scan in insertion order.
 
-    The persistent interface is backed by one physical arena per
-    version family plus reversing diffs (rerooted on access), so
-    fold-and-update accumulator patterns cost O(1) amortized per
-    update. Iterations pin the arena, making every access pattern safe
-    (at worst a private copy). *)
+    The map is ephemeral: updates change it in place, and nothing
+    keeps old versions. Every update bumps the map's {!stamp}; the
+    value-level wrappers ({!Bag}, {!Delta.Rel_delta}) record the stamp
+    their handle was made at and raise {!Consumed} when a handle is
+    read after a later update. A caller that needs two versions takes
+    an explicit {!copy}. *)
 
 type t
 
-val empty : ?size:int -> unit -> t
+exception Consumed
+(** A handle was used after the map behind it was updated through a
+    newer handle, or a map was updated while it was being iterated. *)
+
+val create : ?size:int -> unit -> t
+val copy : t -> t
+(** Order-preserving copy sharing nothing mutable with the original. *)
 
 val get : t -> Tuple.t -> int
 (** Current count, 0 when absent. *)
 
-val set : t -> Tuple.t -> int -> t
-(** Functional update; a count of 0 removes the binding. *)
+val add : t -> Tuple.t -> int -> unit
+(** [add t tup m] adds the signed count [m] in place; a sum of 0
+    removes the binding. [m = 0] is a no-op that leaves the stamp
+    alone. *)
 
-val add_to : t -> Tuple.t -> int -> t
-(** [add_to t tup m] is [set t tup (get t tup + m)] with a single
-    index probe for the old count — the per-atom hot path of delta
-    application and smash. *)
+val stamp : t -> int
+(** Number of updates made so far. *)
+
+val check : t -> int -> unit
+(** [check t s] @raise Consumed unless [stamp t = s]. *)
 
 val size : t -> int
 (** Number of bindings (distinct tuples), O(1). *)
 
 val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Insertion order (deterministic, but carries no semantic meaning). *)
+(** Insertion order (deterministic, but carries no semantic meaning).
+    @raise Consumed if the callback updates the map. *)
 
 val iter : (Tuple.t -> int -> unit) -> t -> unit
 
@@ -40,25 +50,3 @@ val bindings : t -> (Tuple.t * int) list
 (** Sorted by {!Tuple.compare} (deterministic output). *)
 
 val equal : t -> t -> bool
-
-(** Mutable accumulation of a fresh map, sealed into a persistent
-    value in O(1). Algebra operators build their results here and
-    never pay the diff-chain machinery; insertion order is preserved
-    into the sealed value, keeping later scans sequential. *)
-module Builder : sig
-  type counts := t
-  type t
-
-  val create : ?size:int -> unit -> t
-
-  val of_counts : counts -> t
-  (** Start from a copy of an existing map (order-preserving). *)
-
-  val add : t -> Tuple.t -> int -> unit
-  (** Accumulate a signed count; a sum reaching 0 removes the binding. *)
-
-  val get : t -> Tuple.t -> int
-
-  val seal : t -> counts
-  (** Transfer ownership; the builder must not be used afterwards. *)
-end

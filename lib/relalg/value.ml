@@ -50,6 +50,11 @@ let hash = function
     else Hashtbl.hash (3, f)
   | Str s -> Hashtbl.hash s
 
+let hash_exact = function
+  | Int i -> abs i <= 1 lsl 53
+  | Float f -> Float.abs f < 0x1p53
+  | Null | Bool _ | Str _ -> true
+
 let type_error op a b =
   raise
     (Type_error

@@ -28,6 +28,14 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
+val hash_exact : t -> bool
+(** Does every value {!equal} to this one share its {!hash}? Not for
+    numbers at or beyond 2^53: [Int (2^53 + 1)] rounds to, and so
+    equals, [Float 2^53] but hashes apart from it (and a NaN equals
+    every NaN whatever its bits). A hash lookup of a value that is not
+    hash-exact can miss an equal one, so index probes and shard routing
+    fall back to scanning. *)
+
 exception Type_error of string
 (** Raised by arithmetic on non-numeric operands. *)
 

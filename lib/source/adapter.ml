@@ -42,7 +42,7 @@ type t = {
   a_set_link_up : bool -> unit;
   a_channel : unit -> Message.t Sim.Channel.t option;
   a_in_flight : unit -> int;
-  a_history : unit -> (float * int * (string * Bag.t) list) list;
+  a_history : unit -> (float * int) list;
   a_set_retention : retention -> unit;
   a_release : upto:int -> unit;
   a_history_length : unit -> int;

@@ -42,7 +42,7 @@ type poll_error =
   | Unavailable of { u_source : string; u_until : float option }
   | Timed_out of { t_source : string; t_timeout : float }
 
-(** History snapshot retention. *)
+(** History log retention. *)
 type retention =
   | Keep_all
   | Keep_last of int  (** keep at most the last [n] versions *)
@@ -83,7 +83,7 @@ type t = {
   a_set_link_up : bool -> unit;
   a_channel : unit -> Message.t Sim.Channel.t option;
   a_in_flight : unit -> int;
-  a_history : unit -> (float * int * (string * Bag.t) list) list;
+  a_history : unit -> (float * int) list;
   a_set_retention : retention -> unit;
   a_release : upto:int -> unit;
   a_history_length : unit -> int;
@@ -133,7 +133,8 @@ val connect :
     delivered to the handler over a FIFO channel. *)
 
 val load : t -> string -> Bag.t -> unit
-(** Set a relation's initial (version 0) contents.
+(** Set a relation's initial (version 0) contents; the source keeps
+    its own copy, the caller keeps the bag.
     @raise Adapter_error after the first commit or on read-only
     backends. *)
 
@@ -141,12 +142,15 @@ val set_filter :
   t -> relation:string -> attrs:string list -> cond:Predicate.t -> unit
 
 val commit : t -> Multi_delta.t -> unit
-(** Apply a transaction atomically: one new version, snapshotted and
-    staged for announcement. Backends with a native (non-relational)
-    update model translate the signed-bag delta into native mutations;
-    read-only backends raise {!Adapter_error}. *)
+(** Apply a transaction atomically: one new version, logged and
+    staged for announcement. The delta is only read. Backends with a
+    native (non-relational) update model translate the signed-bag
+    delta into native mutations; read-only backends raise
+    {!Adapter_error}. *)
 
 val current : t -> string -> Bag.t
+(** The live relation: read-only, and consumed by the next commit. *)
+
 val version : t -> int
 val flush_announcements : t -> unit
 
@@ -176,8 +180,9 @@ val in_flight : t -> int
 
 (** {1 History access (for the correctness checker)} *)
 
-val history : t -> (float * int * (string * Bag.t) list) list
-(** Chronological [(commit_time, version, state)] list, bounded by the
+val history : t -> (float * int) list
+(** Chronological [(commit_time, version)] list of the versions whose
+    state {!state_at_version} can still rebuild, bounded by the
     retention policy and the release watermark. *)
 
 val set_retention : t -> retention -> unit
@@ -185,7 +190,8 @@ val release : t -> upto:int -> unit
 val history_length : t -> int
 
 val state_at_version : t -> int -> (string * Bag.t) list
-(** @raise Adapter_error (or a backend error) for an unknown or pruned
+(** The state at a retained version, as fresh bags the caller owns.
+    @raise Adapter_error (or a backend error) for an unknown or pruned
     version. *)
 
 val commit_time_of_version : t -> int -> float

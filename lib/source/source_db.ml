@@ -29,9 +29,11 @@ type t = {
   engine : Engine.t;
   name : string;
   schemas : (string * Schema.t) list;
-  mutable tables : (string * Bag.t) list;
+  mutable tables : (string * Bag.t) list; (* owned: updated in place *)
   mutable version : int;
-  mutable history : (float * int * (string * Bag.t) list) list; (* newest first *)
+  mutable history : (float * int * Multi_delta.t) list;
+      (* newest first: each retained version's commit time and the net
+         change its commit made, from which older states are rebuilt *)
   announce : announce_mode;
   mutable pending : Multi_delta.t;
   mutable pending_version : int; (* version after last staged commit *)
@@ -56,7 +58,7 @@ let create ~engine ~name ~relations ~announce () =
     schemas = relations;
     tables;
     version = 0;
-    history = [ (Engine.now engine, 0, tables) ];
+    history = [ (Engine.now engine, 0, Multi_delta.empty) ];
     announce;
     pending = Multi_delta.empty;
     pending_version = 0;
@@ -181,9 +183,23 @@ let connect t ~comm_delay ~q_proc_delay handler =
 let load t rel bag =
   if t.version <> 0 then err "source %s: load after first commit" t.name;
   ignore (schema t rel);
-  t.tables <- (rel, bag) :: List.remove_assoc rel t.tables;
-  (* version 0 snapshot reflects the loads *)
-  t.history <- [ (Engine.now t.engine, 0, t.tables) ]
+  (* the caller keeps its bag; the source updates its own copy *)
+  t.tables <- (rel, Bag.copy bag) :: List.remove_assoc rel t.tables;
+  t.history <- [ (Engine.now t.engine, 0, Multi_delta.empty) ]
+
+(* Apply [d] to [bag] and return the new bag with the net change made:
+   a deletion below zero clamps, so the log keeps only what happened
+   and its inverse restores the old state exactly. *)
+let apply_logged bag d =
+  Rel_delta.fold
+    (fun tuple m (bag, net) ->
+      if m > 0 then (Bag.add ~mult:m bag tuple, Rel_delta.insert ~mult:m net tuple)
+      else
+        let m = min (-m) (Bag.mult bag tuple) in
+        if m = 0 then (bag, net)
+        else (Bag.remove ~mult:m bag tuple, Rel_delta.delete ~mult:m net tuple))
+    d
+    (bag, Rel_delta.empty (Bag.schema bag))
 
 let commit t delta =
   List.iter
@@ -191,30 +207,27 @@ let commit t delta =
       if not (List.mem_assoc rel t.schemas) then
         err "source %s: delta mentions unknown relation %S" t.name rel)
     (Multi_delta.relations delta);
+  let net = ref Multi_delta.empty in
   t.tables <-
     List.map
       (fun (rel, bag) ->
         match Multi_delta.find delta rel with
-        | Some d -> (rel, Rel_delta.apply bag d)
+        | Some d ->
+          let bag, d_net = apply_logged bag d in
+          net := Multi_delta.add !net rel d_net;
+          (rel, bag)
         | None -> (rel, bag))
       t.tables;
   t.version <- t.version + 1;
   let now = Engine.now t.engine in
-  t.history <- (now, t.version, t.tables) :: t.history;
+  t.history <- (now, t.version, !net) :: t.history;
   prune_history t;
-  let staged =
-    List.fold_left
-      (fun acc rel ->
-        match Multi_delta.find delta rel with
-        | Some d ->
-          let filtered = filter_delta t rel d in
-          if Rel_delta.is_empty filtered then acc
-          else Multi_delta.add acc rel filtered
-        | None -> acc)
-      Multi_delta.empty
-      (Multi_delta.relations delta)
-  in
-  t.pending <- Multi_delta.smash t.pending staged;
+  List.iter
+    (fun (rel, d) ->
+      let filtered = filter_delta t rel d in
+      if not (Rel_delta.is_empty filtered) then
+        t.pending <- Multi_delta.add t.pending rel filtered)
+    (Multi_delta.bindings delta);
   t.pending_version <- t.version;
   t.pending_commit_time <- now;
   match t.announce with
@@ -280,8 +293,16 @@ let try_poll t ?timeout queries =
       flush_announcements t;
       t.polls <- t.polls + 1;
       let env rel = List.assoc_opt rel t.tables in
+      (* the answer outlives this state: a bare relation is copied
+         before later commits update it in place *)
+      let snapshot b =
+        if List.exists (fun (_, live) -> live == b) t.tables then Bag.copy b
+        else b
+      in
       let results =
-        List.map (fun (label, expr) -> (label, Eval.eval ~env expr)) queries
+        List.map
+          (fun (label, expr) -> (label, snapshot (Eval.eval ~env expr)))
+          queries
       in
       let answer =
         {
@@ -331,12 +352,24 @@ let poll_error_to_string = function
   | Timed_out { t_source; t_timeout } ->
     Printf.sprintf "source %s: poll timed out after %g" t_source t_timeout
 
-let history t = List.rev t.history
+let history t = List.rev_map (fun (time, v, _) -> (time, v)) t.history
 
+(* a copy of the current state, rolled back through the inverse of
+   every newer commit's net change *)
 let state_at_version t v =
-  match List.find_opt (fun (_, v', _) -> v' = v) t.history with
-  | Some (_, _, state) -> state
-  | None -> err "source %s has no version %d" t.name v
+  if not (List.exists (fun (_, v', _) -> v' = v) t.history) then
+    err "source %s has no version %d" t.name v;
+  let undo state (_, _, md) =
+    List.map
+      (fun (rel, bag) ->
+        match Multi_delta.find md rel with
+        | Some d -> (rel, Rel_delta.apply bag (Rel_delta.inverse d))
+        | None -> (rel, bag))
+      state
+  in
+  List.fold_left undo
+    (List.map (fun (rel, bag) -> (rel, Bag.copy bag)) t.tables)
+    (List.filter (fun (_, v', _) -> v' > v) t.history)
 
 let commit_time_of_version t v =
   match List.find_opt (fun (_, v', _) -> v' = v) t.history with

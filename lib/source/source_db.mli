@@ -16,10 +16,13 @@
        flushing pending announcements so the answer never reflects
        updates the mediator cannot yet see.}}
 
-    Every commit produces a new {e version}; the full version history
-    (with state snapshots — persistent bags make this cheap) is kept
-    so the correctness checker of Sec. 3 can evaluate what the view
-    {e should} have reflected. *)
+    Every commit produces a new {e version}. The source keeps only its
+    current tables, updated in place, plus a bounded newest-first log
+    of [(commit_time, version, net delta)]; an older state is rebuilt
+    on demand by applying the Heraclitus [inverse] of every newer
+    delta to a copy of the current one. That is how the correctness
+    checker of Sec. 3 evaluates what the view {e should} have
+    reflected. *)
 
 open Relalg
 open Delta
@@ -49,7 +52,7 @@ type poll_error = Adapter.poll_error =
   | Unavailable of { u_source : string; u_until : float option }
   | Timed_out of { t_source : string; t_timeout : float }
 
-(** History snapshot retention. *)
+(** History log retention. *)
 type retention = Adapter.retention =
   | Keep_all
   | Keep_last of int  (** keep at most the last [n] versions *)
@@ -97,8 +100,9 @@ val q_proc_delay : t -> float
     unconnected). *)
 
 val load : t -> string -> Bag.t -> unit
-(** Set a relation's initial (version 0) contents. Only before the
-    first commit. @raise Source_error otherwise. *)
+(** Set a relation's initial (version 0) contents to a copy of the bag
+    (the caller keeps its own). Only before the first commit.
+    @raise Source_error otherwise. *)
 
 val set_filter :
   t -> relation:string -> attrs:string list -> cond:Predicate.t -> unit
@@ -113,11 +117,14 @@ val set_filter :
     @raise Source_error on unknown relations/attributes. *)
 
 val commit : t -> Multi_delta.t -> unit
-(** Apply a transaction atomically: bump the version, snapshot, and
-    stage the delta for announcement.
+(** Apply a transaction atomically: bump the version, log the net
+    change, and stage the delta for announcement. The delta is only
+    read; the caller keeps it.
     @raise Source_error on a delta mentioning unknown relations. *)
 
 val current : t -> string -> Bag.t
+(** The live table: read-only, and consumed by the next commit. *)
+
 val version : t -> int
 
 val flush_announcements : t -> unit
@@ -174,29 +181,31 @@ val in_flight : t -> int
 
 (** {1 History access (for the correctness checker)} *)
 
-val history : t -> (float * int * (string * Bag.t) list) list
-(** Chronological [(commit_time, version, state)] list, starting with
-    version 0 at creation time. Bounded by the retention policy and
-    the release watermark (below). *)
+val history : t -> (float * int) list
+(** Chronological [(commit_time, version)] list of the retained
+    versions, starting with version 0 at creation time. Bounded by the
+    retention policy and the release watermark (below). *)
 
 val set_retention : t -> retention -> unit
-(** Cap the snapshot history. Default [Keep_all] — required when a
+(** Cap the history log. Default [Keep_all] — required when a
     {!Correctness.Checker} will replay the run, since it evaluates
     view states at arbitrary past versions. Long-running deployments
-    without a checker should bound it: one full table snapshot per
-    commit otherwise grows without bound. *)
+    without a checker should bound it: one delta per commit otherwise
+    grows without bound. *)
 
 val release : t -> upto:int -> unit
 (** Advance the release watermark: versions below [upto] will never be
     asked for again (the caller — typically a mediator whose reflected
-    version has passed them) and their snapshots are pruned. The
+    version has passed them) and their log entries are pruned. The
     watermark never retreats. *)
 
 val history_length : t -> int
-(** Number of retained snapshots (for retention regression tests). *)
+(** Number of retained versions (for retention regression tests). *)
 
 val state_at_version : t -> int -> (string * Bag.t) list
-(** @raise Source_error for an unknown (or pruned) version. *)
+(** The state at a retained version, rebuilt from a copy of the
+    current tables: the caller owns the bags.
+    @raise Source_error for an unknown (or pruned) version. *)
 
 val commit_time_of_version : t -> int -> float
 

@@ -13,7 +13,7 @@
     The bridge into Squirrel's update algebra is the delta mapping:
     every native mutation is translated into a signed-bag delta
     against the relational export and committed through an embedded
-    {!Source_db}, which supplies versioning, history snapshots,
+    {!Source_db}, which supplies versioning, the history delta log,
     announcement channels, outage windows and retention — so a triple
     store participates in announcement-based view maintenance, VAP
     polling and the Sec. 3 correctness checker without the mediator

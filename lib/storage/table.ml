@@ -218,23 +218,14 @@ type access = Probe | Scan
 
 let access_to_string = function Probe -> "probe" | Scan -> "scan"
 
-(* Can a hash probe for [v] find every stored value [Value.equal] to
-   it? Not for numbers at or beyond 2^53: [Int (2^53 + 1)] rounds to,
-   and so equals, [Float 2^53] but hashes apart from it (and a NaN
-   equals every NaN whatever its bits). *)
-let probe_exact = function
-  | Value.Int i -> abs i <= 1 lsl 53
-  | Value.Float f -> Float.abs f < 0x1p53
-  | Value.Null | Value.Bool _ | Value.Str _ -> true
-
 (* The values [cond] pins on each attribute of [on], in order; [None]
    as soon as one attribute is unbounded or pinned to a value a probe
-   cannot find exactly. *)
+   cannot find exactly ({!Value.hash_exact}). *)
 let pinned cond on =
   List.fold_right
     (fun a acc ->
       match (acc, Predicate.eq_values ~attr:a cond) with
-      | Some vss, Some vs when List.for_all probe_exact vs -> Some (vs :: vss)
+      | Some vss, Some vs when List.for_all Value.hash_exact vs -> Some (vs :: vss)
       | _ -> None)
     on (Some [])
 

@@ -31,7 +31,8 @@ val load : t -> Bag.t -> unit
 val clear : t -> unit
 
 val contents : t -> Bag.t
-(** The current population (O(1): tables share the persistent bag). *)
+(** The current population (O(1): the table's own bag, not a copy).
+    Read-only, and consumed by the table's next update. *)
 
 val apply_delta : t -> Rel_delta.t -> unit
 

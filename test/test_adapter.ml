@@ -186,7 +186,64 @@ let test_history mk () =
     (Adapter.next_commit_time_after a (v0 + 1));
   Alcotest.(check (option (float 1e-9)))
     "nothing after the last version" None
-    (Adapter.next_commit_time_after a vn)
+    (Adapter.next_commit_time_after a vn);
+  (* a longer run: the source rebuilds old states from its delta log,
+     so every retained version must equal a forward replay of the
+     mutations — under Keep_all, under Keep_last 5, after a release *)
+  let present = Hashtbl.create 8 in
+  List.iter (fun k -> Hashtbl.replace present k ()) [ 1; 2 ];
+  let replay = Hashtbl.create 64 in
+  let record () =
+    Hashtbl.replace replay (Adapter.version a)
+      (Hashtbl.fold (fun k () acc -> k_tuple k :: acc) present [])
+  in
+  Hashtbl.replace replay v0 [];
+  Hashtbl.replace replay (v0 + 1) [ k_tuple 1 ];
+  record ();
+  let rng = Random.State.make [| 11 |] in
+  let mutate n =
+    for _ = 1 to n do
+      let k = 1 + Random.State.int rng 6 in
+      if Hashtbl.mem present k then begin
+        i.i_delete k;
+        Hashtbl.remove present k
+      end
+      else begin
+        i.i_insert k;
+        Hashtbl.replace present k ()
+      end;
+      i.i_quiesce ();
+      record ()
+    done
+  in
+  let check_retained what =
+    List.iter
+      (fun (_, v) ->
+        check_bag
+          (Printf.sprintf "%s: version %d = replay" what v)
+          (Bag.of_tuples schema_s (Hashtbl.find replay v))
+          (List.assoc i.i_relation (Adapter.state_at_version a v)))
+      (Adapter.history a)
+  in
+  mutate 20;
+  Alcotest.(check int)
+    "Keep_all retains every version"
+    (Adapter.version a - v0 + 1)
+    (Adapter.history_length a);
+  check_retained "Keep_all";
+  Adapter.set_retention a (Adapter.Keep_last 5);
+  mutate 4;
+  Alcotest.(check int) "Keep_last 5 retains five" 5 (Adapter.history_length a);
+  check_retained "Keep_last 5";
+  Adapter.release a ~upto:(Adapter.version a - 2);
+  Alcotest.(check int) "release prunes below the watermark" 3
+    (Adapter.history_length a);
+  check_retained "after release";
+  Alcotest.(check bool)
+    "a pruned version is refused" true
+    (match Adapter.state_at_version a (Adapter.version a - 3) with
+    | _ -> false
+    | exception _ -> true)
 
 (* a poll answers from the current state and stamps the version it
    reflects *)

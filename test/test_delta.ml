@@ -58,15 +58,15 @@ let bag_and_two_deltas =
   let open QCheck2.Gen in
   bag_gen schema_s >>= fun b ->
   delta_gen_for schema_s b >>= fun d1 ->
-  let b1 = Rel_delta.apply b d1 in
+  let b1 = Rel_delta.apply (Bag.copy b) d1 in
   delta_gen_for schema_s b1 >|= fun d2 -> (b, d1, d2)
 
 let prop_smash_law =
   qtest "apply db (d1 ! d2) = apply (apply db d1) d2" bag_and_two_deltas
     (fun (b, d1, d2) ->
       Bag.equal
-        (Rel_delta.apply b (Rel_delta.smash d1 d2))
-        (Rel_delta.apply (Rel_delta.apply b d1) d2))
+        (Rel_delta.apply (Bag.copy b) (Rel_delta.smash (Rel_delta.copy d1) d2))
+        (Rel_delta.apply (Rel_delta.apply (Bag.copy b) d1) d2))
 
 let bag_and_delta =
   let open QCheck2.Gen in
@@ -75,26 +75,28 @@ let bag_and_delta =
 
 let prop_inverse_law =
   qtest "apply (apply db d) (inverse d) = db" bag_and_delta (fun (b, d) ->
-      Bag.equal (Rel_delta.apply (Rel_delta.apply b d) (Rel_delta.inverse d)) b)
+      Bag.equal
+        (Rel_delta.apply (Rel_delta.apply (Bag.copy b) d) (Rel_delta.inverse d))
+        b)
 
 let prop_inverse_of_smash =
   qtest "(d1 ! d2)^-1 = d2^-1 ! d1^-1" bag_and_two_deltas (fun (_, d1, d2) ->
       Rel_delta.equal
-        (Rel_delta.inverse (Rel_delta.smash d1 d2))
+        (Rel_delta.inverse (Rel_delta.smash (Rel_delta.copy d1) d2))
         (Rel_delta.smash (Rel_delta.inverse d2) (Rel_delta.inverse d1)))
 
 let prop_select_commutes =
   qtest "select commutes with apply" bag_and_delta (fun (b, d) ->
       let p = cond_s3 in
       Bag.equal
-        (Bag.select p (Rel_delta.apply b d))
+        (Bag.select p (Rel_delta.apply (Bag.copy b) d))
         (Rel_delta.apply (Bag.select p b) (Rel_delta.select p d)))
 
 let prop_project_commutes =
   qtest "project commutes with apply" bag_and_delta (fun (b, d) ->
       let names = [ "s1"; "s2" ] in
       Bag.equal
-        (Bag.project names (Rel_delta.apply b d))
+        (Bag.project names (Rel_delta.apply (Bag.copy b) d))
         (Rel_delta.apply (Bag.project names b) (Rel_delta.project names d)))
 
 let prop_rename_commutes =
@@ -106,7 +108,7 @@ let prop_rename_commutes =
           (Expr.Rename (mapping, Expr.Base "X"))
       in
       Bag.equal
-        (rename_bag (Rel_delta.apply b d))
+        (rename_bag (Rel_delta.apply (Bag.copy b) d))
         (Rel_delta.apply (rename_bag b) (Rel_delta.rename mapping d)))
 
 (* --- multi-relation deltas --- *)
@@ -135,11 +137,47 @@ let test_multi_delta_apply_env () =
   | [ ("S", b') ] -> Alcotest.(check int) "applied" 2 (Bag.cardinal b')
   | _ -> Alcotest.fail "expected single updated relation"
 
+(* updates consume the handle they were given (the first argument);
+   the second argument is only read *)
+let test_consumed_handles () =
+  let consumed what f =
+    Alcotest.check_raises what Counts.Consumed (fun () -> ignore (f ()))
+  in
+  let ins t = Rel_delta.insert (Rel_delta.empty schema_s) t in
+  let d = ins (s_tuple 1 2 3) in
+  let d' = Rel_delta.delete d (s_tuple 4 5 6) in
+  consumed "insert/delete" (fun () -> Rel_delta.atom_count d);
+  let other = ins (s_tuple 7 8 9) in
+  let e = Rel_delta.smash d' other in
+  consumed "smash, first argument" (fun () -> Rel_delta.to_string d');
+  Alcotest.(check int) "smash, second argument only read" 1
+    (Rel_delta.atom_count other);
+  Alcotest.(check int) "smashed" 3 (Rel_delta.atom_count e);
+  let b = Bag.of_tuples schema_s [ s_tuple 4 5 6 ] in
+  let b' = Rel_delta.apply b e in
+  consumed "apply consumes the bag" (fun () -> Bag.cardinal b);
+  Alcotest.(check int) "applied" 2 (Bag.cardinal b');
+  Alcotest.(check int) "apply only reads the delta" 3 (Rel_delta.atom_count e);
+  consumed "smash into itself" (fun () -> Rel_delta.smash e e);
+  (* multi-relation deltas: an update consumes the per-relation deltas
+     it touched; a relation new to the target is copied, not shared *)
+  let m = Multi_delta.singleton "S" (ins (s_tuple 1 1 1)) in
+  let m2 = Multi_delta.singleton "S" (ins (s_tuple 2 2 2)) in
+  let m' = Multi_delta.smash m m2 in
+  consumed "Multi_delta.smash, first argument" (fun () ->
+      Multi_delta.atom_count m);
+  Alcotest.(check int) "Multi_delta.smash" 2 (Multi_delta.atom_count m');
+  let adopted = Multi_delta.smash Multi_delta.empty m2 in
+  let adopted' = Multi_delta.add adopted "S" (ins (s_tuple 3 3 3)) in
+  consumed "Multi_delta.add" (fun () -> Multi_delta.atom_count adopted);
+  Alcotest.(check int) "Multi_delta.add" 2 (Multi_delta.atom_count adopted');
+  Alcotest.(check int) "an adopted delta was copied" 1 (Multi_delta.atom_count m2)
+
 (* --- incremental evaluation --- *)
 
 let apply_multi env (m : (string * Rel_delta.t) list) name =
   match (env name, List.assoc_opt name m) with
-  | Some b, Some d -> Some (Rel_delta.apply b d)
+  | Some b, Some d -> Some (Rel_delta.apply (Bag.copy b) d)
   | Some b, None -> Some b
   | None, _ -> None
 
@@ -148,7 +186,8 @@ let check_incremental expr env delta_list =
   let deltas name = List.assoc_opt name delta_list in
   let old_value = Eval.eval ~env expr in
   let d = Inc_eval.delta_of_expr ~env ~deltas expr in
-  let incremental = Rel_delta.apply old_value d in
+  (* a bare [Base] evaluates to the env's own bag: update a copy *)
+  let incremental = Rel_delta.apply (Bag.copy old_value) d in
   let recomputed = Eval.eval ~env:(apply_multi env delta_list) expr in
   Bag.equal incremental recomputed
 
@@ -454,6 +493,7 @@ let () =
           Alcotest.test_case "strict redundancy" `Quick test_apply_strict_redundant;
           Alcotest.test_case "of_diff" `Quick test_of_diff;
           Alcotest.test_case "atom count" `Quick test_atom_count;
+          Alcotest.test_case "consumed handles" `Quick test_consumed_handles;
         ] );
       ( "delta laws",
         [

@@ -132,6 +132,46 @@ let test_retry_survives_transient_blackhole () =
   Alcotest.(check bool) "a retry happened" true ((Obs.Metrics.value s.Med.poll_retries) >= 1);
   Alcotest.(check int) "no budget exhaustion" 0 (Obs.Metrics.value s.Med.poll_failures)
 
+(* An update batch whose temporaries cannot be polled aborts and puts
+   its entries back; the retry after the outage must apply each entry
+   exactly once. The batch coalesces several entries (one key changed
+   twice), so a retry that reused deltas the aborted attempt had
+   smashed together would double or lose atoms. *)
+let test_aborted_batch_retries_once () =
+  let env, med = setup () in
+  let db1 = Scenario.source env "db1" and db2 = Scenario.source env "db2" in
+  let now = Engine.now env.Scenario.engine in
+  (* T's delta for an S change joins R', which is virtual: the batch
+     must poll db1, which is down longer than every retry *)
+  Adapter.set_outages db1 [ (now, now +. 20.0) ];
+  let s_row k s2 =
+    Tuple.of_list
+      [ ("s1", Value.Int k); ("s2", Value.Int s2); ("s3", Value.Int 10) ]
+  in
+  let at d f = Engine.schedule env.Scenario.engine ~delay:d f in
+  List.iteri
+    (fun i (k, s2) ->
+      at (0.1 *. float_of_int (i + 1)) (fun () ->
+          Adapter.commit db2 (Driver.single_insert db2 "S" (s_row k s2))))
+    [ (3, 71); (5, 72); (3, 73) ];
+  at 0.5 (fun () -> commit_r env 1);
+  Engine.run env.Scenario.engine ~until:(now +. 10.0);
+  let s = Mediator.stats med in
+  Alcotest.(check bool) "the batch was deferred" true
+    (Obs.Metrics.value s.Med.update_deferrals >= 1);
+  Alcotest.(check bool) "nothing applied during the outage" true
+    (Mediator.reflected_version med "db2" < Adapter.version db2);
+  Scenario.run_to_quiescence env med;
+  Alcotest.(check int) "every version reflected" (Adapter.version db2)
+    (Mediator.reflected_version med "db2");
+  let answer =
+    in_process env (fun () ->
+        (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.tuples)
+  in
+  Tutil.check_bag "the store holds each update once"
+    (Bag.project [ "r1"; "s1" ] (recompute env "T"))
+    answer
+
 (* property: under every fault profile, no served answer's observed
    staleness (checker-measured against source commit history) ever
    exceeds the online bound the answer reported — the bound may be
@@ -168,6 +208,8 @@ let () =
             test_outage_degrades_to_stale_answer;
           Alcotest.test_case "transient black hole -> retry" `Quick
             test_retry_survives_transient_blackhole;
+          Alcotest.test_case "aborted batch retries once" `Quick
+            test_aborted_batch_retries_once;
         ] );
       ( "freshness bounds",
         [

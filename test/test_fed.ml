@@ -161,7 +161,9 @@ let test_partition_targets () =
   check "contradiction targets nothing" (Partition.Some_shards [])
     Predicate.False;
   check "other attributes don't route" Partition.All_shards
-    Predicate.(eq (attr "grp") (int 2))
+    Predicate.(eq (attr "grp") (int 2));
+  check "a key beyond float precision scatters" Partition.All_shards
+    Predicate.(eq (attr "k") (flt 0x1p53))
 
 (* --- systems under test ------------------------------------------------ *)
 
@@ -270,6 +272,66 @@ let test_differential () =
         reference
         (run_fed ~shards small_spec))
     [ 1; 2; 4 ]
+
+(* [Value.equal] joins [Float 2^53] with [Int (2^53 + 1)] (the Int
+   rounds to it) while [Value.hash] separates them: a condition pinning
+   the key to the Float must still reach the shard that holds the Int,
+   so the federation answers it like one mediator does *)
+let test_beyond_float_precision () =
+  let big = (1 lsl 53) + 1 and shards = 4 in
+  let pinned = Value.Float 0x1p53 in
+  Alcotest.(check bool)
+    "the equal keys hash to different shards" true
+    (Partition.owner ~shards pinned <> Partition.owner ~shards (Value.Int big));
+  let keys = big :: List.init 16 Fun.id in
+  let items =
+    Bag.of_rows Fed_scenario.schema_items
+      (List.map (fun k -> [ Value.Int k; Value.Int (k mod 4); Value.Int 95 ]) keys)
+  and tags =
+    Bag.of_rows Fed_scenario.schema_tags
+      (List.map (fun k -> [ Value.Int k; Value.Int (k mod 7) ]) keys)
+  in
+  let cond = Predicate.(eq (attr "k") (Const pinned)) in
+  let nodes = [ "Enriched"; "Hot" ] in
+  let single =
+    let engine = Engine.create () in
+    let vdp = Fed_scenario.fed_vdp () in
+    let sources = Fed_scenario.make_sources ~engine () in
+    let med =
+      Mediator.create ~engine ~vdp
+        ~annotation:(Annotation.fully_materialized vdp)
+        ~config:diff_config ~sources ()
+    in
+    Mediator.connect med ();
+    load_sources sources items tags;
+    Engine.spawn engine (fun () -> Mediator.initialize med);
+    Engine.run engine ~until:1.0;
+    in_process engine (fun () ->
+        List.map (fun node -> (Mediator.query med ~node ~cond ()).Qp.tuples) nodes)
+  in
+  let engine = Engine.create () in
+  let fed =
+    Coordinator.create ~engine
+      ~vdp:(Fed_scenario.fed_vdp ())
+      ~key:Fed_scenario.partition_key ~shards
+      ~make_sources:(fun ~shard:_ -> Fed_scenario.make_sources ~engine ())
+      ~config:diff_config ()
+  in
+  Coordinator.load fed "Items" items;
+  Coordinator.load fed "Tags" tags;
+  Engine.spawn engine (fun () -> Coordinator.initialize fed);
+  Engine.run engine ~until:1.0;
+  let sharded =
+    in_process engine (fun () ->
+        List.map (fun node -> (Coordinator.query fed ~node ~cond ()).Qp.tuples) nodes)
+  in
+  List.iter2
+    (fun node b ->
+      Alcotest.(check int) (node ^ ": one mediator finds the row") 1 (Bag.cardinal b))
+    nodes single;
+  List.iter2
+    (fun node (a, b) -> Tutil.check_bag (node ^ ": 4 shards = 1 mediator") a b)
+    nodes (List.combine single sharded)
 
 (* --- export change stream ---------------------------------------------- *)
 
@@ -410,6 +472,8 @@ let () =
         [
           Alcotest.test_case "differential vs one mediator" `Quick
             test_differential;
+          Alcotest.test_case "key beyond float precision" `Quick
+            test_beyond_float_precision;
           Alcotest.test_case "export change stream" `Quick test_export_stream;
           Alcotest.test_case "federation answer cache" `Quick test_fed_cache;
           Alcotest.test_case "chaos: shard kill" `Quick test_chaos_kill;

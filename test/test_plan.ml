@@ -213,12 +213,12 @@ let test_delta_plans_agree () =
        the compiled delta is the value over the updated bases *)
     let env' name =
       match (env name, deltas name) with
-      | Some b, Some d -> Some (Rel_delta.apply b d)
+      | Some b, Some d -> Some (Rel_delta.apply (Bag.copy b) d)
       | v, _ -> v
     in
     Tutil.check_bag (what ^ " (apply contract)")
       (Eval.eval ~env:env' e)
-      (Rel_delta.apply (Eval.eval ~env e) compiled)
+      (Rel_delta.apply (Bag.copy (Eval.eval ~env e)) compiled)
   done
 
 let test_renamer () =

@@ -189,12 +189,39 @@ let test_predicate_eq_values () =
 (* --- Bag --- *)
 
 let test_bag_multiplicity () =
-  let b = Bag.add ~mult:2 (Bag.add sample_r (r_tuple 9 9 9 9)) (r_tuple 9 9 9 9) in
+  let b = Bag.add ~mult:2 (Bag.add (Bag.copy sample_r) (r_tuple 9 9 9 9)) (r_tuple 9 9 9 9) in
   Alcotest.(check int) "mult" 3 (Bag.mult b (r_tuple 9 9 9 9));
   Alcotest.(check int) "cardinal" 7 (Bag.cardinal b);
   Alcotest.(check int) "support" 5 (Bag.support_cardinal b);
   let b = Bag.remove ~mult:5 b (r_tuple 9 9 9 9) in
   Alcotest.(check int) "monus clamps" 0 (Bag.mult b (r_tuple 9 9 9 9))
+
+(* [add]/[remove] update the map in place: the handle they were given
+   is consumed, and any later read of it raises instead of seeing the
+   newer state *)
+let test_bag_consumed () =
+  let consumed what f =
+    Alcotest.check_raises what Counts.Consumed (fun () -> ignore (f ()))
+  in
+  let b = Bag.of_tuples schema_r [ r_tuple 1 2 3 4 ] in
+  let b' = Bag.add b (r_tuple 5 6 7 8) in
+  Alcotest.(check int) "the new handle sees the update" 2 (Bag.cardinal b');
+  consumed "mult" (fun () -> Bag.mult b (r_tuple 1 2 3 4));
+  consumed "cardinal" (fun () -> Bag.cardinal b);
+  consumed "iter" (fun () -> Bag.iter (fun _ _ -> ()) b);
+  consumed "a second update" (fun () -> Bag.add b (r_tuple 9 9 9 9));
+  consumed "an algebra input" (fun () -> Bag.union b b');
+  let kept = Bag.copy b' in
+  let b'' = Bag.remove b' (r_tuple 5 6 7 8) in
+  consumed "remove" (fun () -> Bag.support b');
+  Alcotest.(check int) "remove applied" 1 (Bag.cardinal b'');
+  Alcotest.(check int) "a copy keeps the old version" 2 (Bag.cardinal kept);
+  Alcotest.(check int)
+    "removing an absent tuple keeps the handle" 1
+    (Bag.cardinal (Bag.remove b'' (r_tuple 7 7 7 7)));
+  consumed "an update while iterating the same bag" (fun () ->
+      let acc = ref kept in
+      Bag.iter (fun t _ -> acc := Bag.add !acc t) kept)
 
 let test_bag_select_project () =
   let sel = Bag.select cond_r4 sample_r in
@@ -530,6 +557,7 @@ let () =
       ( "bag",
         [
           Alcotest.test_case "multiplicity" `Quick test_bag_multiplicity;
+          Alcotest.test_case "consumed handles" `Quick test_bag_consumed;
           Alcotest.test_case "select/project" `Quick test_bag_select_project;
           Alcotest.test_case "union/monus" `Quick test_bag_union_monus;
           Alcotest.test_case "set ops" `Quick test_bag_set_ops;

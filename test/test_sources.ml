@@ -17,7 +17,8 @@ let delta_ins tuple =
 let test_commit_and_history () =
   let engine = Engine.create () in
   let src = mk_source engine in
-  Source_db.load src "S" (Bag.of_tuples schema_s [ s_tuple 1 2 3 ]);
+  let base = Bag.of_tuples schema_s [ s_tuple 1 2 3 ] in
+  Source_db.load src "S" base;
   Alcotest.(check int) "version 0" 0 (Source_db.version src);
   Engine.schedule engine ~delay:1.0 (fun () ->
       Source_db.commit src (delta_ins (s_tuple 4 5 6)));
@@ -41,7 +42,30 @@ let test_commit_and_history () =
     (Source_db.next_commit_time_after src 1);
   Alcotest.(check (option (float 1e-9)))
     "no commit after v2" None
-    (Source_db.next_commit_time_after src 2)
+    (Source_db.next_commit_time_after src 2);
+  (* deletions below zero clamp: the log keeps the net change, so the
+     rolled-back states stay exact *)
+  Source_db.commit src
+    (Multi_delta.singleton "S"
+       (Rel_delta.delete ~mult:3
+          (Rel_delta.delete (Rel_delta.empty schema_s) (s_tuple 99 9 9))
+          (s_tuple 4 5 6)));
+  Alcotest.(check int) "clamped commit" 2 (Bag.cardinal (Source_db.current src "S"));
+  List.iter
+    (fun (v, tuples) ->
+      check_bag
+        (Printf.sprintf "state at version %d" v)
+        (Bag.of_tuples schema_s tuples)
+        (List.assoc "S" (Source_db.state_at_version src v)))
+    [
+      (0, [ s_tuple 1 2 3 ]);
+      (1, [ s_tuple 1 2 3; s_tuple 4 5 6 ]);
+      (2, [ s_tuple 1 2 3; s_tuple 4 5 6; s_tuple 7 8 9 ]);
+      (3, [ s_tuple 1 2 3; s_tuple 7 8 9 ]);
+    ];
+  check_bag "the loaded bag stays the caller's"
+    (Bag.of_tuples schema_s [ s_tuple 1 2 3 ])
+    base
 
 let test_load_after_commit_rejected () =
   let engine = Engine.create () in

@@ -403,13 +403,13 @@ let test_rule_fire_node_simultaneous () =
   let dt = Rules.fire_node fig1 ~env ~node:"T" [ ("R'", dr'); ("S'", ds') ] in
   let new_env name =
     match name with
-    | "R'" -> Some (Rel_delta.apply (List.assoc "R'" populated) dr')
-    | "S'" -> Some (Rel_delta.apply (List.assoc "S'" populated) ds')
+    | "R'" -> Some (Rel_delta.apply (Bag.copy (List.assoc "R'" populated)) dr')
+    | "S'" -> Some (Rel_delta.apply (Bag.copy (List.assoc "S'" populated)) ds')
     | n -> fig1_env populated n
   in
   let recomputed = Eval.eval ~env:new_env (Graph.def fig1 "T") in
   check_bag "fire_node = recompute" recomputed
-    (Rel_delta.apply (List.assoc "T" populated) dt)
+    (Rel_delta.apply (Bag.copy (List.assoc "T" populated)) dt)
 
 let contains_substring s sub =
   let rec go i =
